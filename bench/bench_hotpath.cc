@@ -271,36 +271,6 @@ BM_SchedulerTick(benchmark::State& state)
                    " tasks=" + std::to_string(tasks));
 }
 
-/** String-keyed TraceBus sample: the compatibility path. */
-void
-BM_TraceBusSampleString(benchmark::State& state)
-{
-    metrics::TraceBus bus;
-    bus.add_sink(std::make_unique<NullSink>());
-    const std::string series = "cluster0_mhz";
-    SimTime t = 0;
-    const long before = alloc_count();
-    for (auto _ : state) {
-        bus.sample(series, t, 1.5);
-        t += kMillisecond;
-    }
-    set_alloc_counter(state, alloc_count() - before);
-}
-
-/** String-keyed counter bump: map lookup per record. */
-void
-BM_TraceBusCountString(benchmark::State& state)
-{
-    metrics::TraceBus bus;
-    bus.add_sink(std::make_unique<NullSink>());
-    const std::string name = "vf_steps_cluster0";
-    const long before = alloc_count();
-    for (auto _ : state)
-        bus.count(name);
-    set_alloc_counter(state, alloc_count() - before);
-    benchmark::DoNotOptimize(bus.counter(name));
-}
-
 /** One market round at the Table-7 16-task shape. */
 void
 BM_MarketRound(benchmark::State& state)
@@ -397,8 +367,6 @@ BENCHMARK(BM_SchedulerTick)
     ->Args({2, 4, 2})
     ->Args({4, 8, 4})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_TraceBusSampleString);
-BENCHMARK(BM_TraceBusCountString);
 BENCHMARK(BM_MarketRound)
     ->ArgNames({"v", "c", "t"})
     ->Args({2, 4, 2})

@@ -93,11 +93,11 @@ class ThreadPool
      * disjoint ranges.
      *
      * Reentrancy: when the calling thread is itself a worker of
-     * `pool` (a shared pool stepping fleet shards or sweep cells
-     * whose markets then clear on the same pool), the chunks run
-     * inline -- blocking a worker on futures whose chunks sit behind
-     * it in the queue could deadlock the pool, and oversubscribing a
-     * busy pool is exactly what sharing one pool is meant to avoid.
+     * `pool` (work stepped on a shared pool that fans its own chunks
+     * onto the same pool), the chunks run inline -- blocking a
+     * worker on futures whose chunks sit behind it in the queue could
+     * deadlock the pool, and oversubscribing a busy pool is exactly
+     * what sharing one pool is meant to avoid.
      * Results are bit-identical either way (chunk boundaries do not
      * change).
      */

@@ -41,21 +41,6 @@ struct RunParams {
                                       ///< false = per-tick loop.
 
     /**
-     * Worker threads for PPM's parallel market clearing (see
-     * PpmGovernorConfig::clearing_jobs).  1 = inline; results are
-     * bit-identical for every value.  Ignored by the baselines.
-     */
-    int clearing_jobs = 1;
-
-    /**
-     * External shared worker pool for PPM's market clearing (see
-     * PpmGovernorConfig::clearing_pool).  Not owned; overrides
-     * `clearing_jobs`.  run_sweep() wires its cell-stepping pool in
-     * here so an N-cell sweep keeps exactly one pool.
-     */
-    ThreadPool* clearing_pool = nullptr;
-
-    /**
      * Incremental active-set clearing (PpmConfig::incremental).
      * Results are bit-identical on or off; off recomputes every
      * entry each round (debugging escape hatch, `--no-incremental`).
@@ -96,15 +81,17 @@ struct RunResult {
 /**
  * Build the governor `policy` with TDP `tdp`.  `big_speedups` feeds
  * PPM's cross-core-type demand estimator (empty = defaults); ignored
- * by the baselines, as is `clearing_jobs` (PPM's market clearing
- * worker count).  fatal() on an unknown policy name.
+ * by the baselines.  fatal() on an unknown policy name.
+ *
+ * The unnamed `int` and `ThreadPool*` parameters are ignored.  They
+ * stay only because the repo benchmark (perfbench/src/workloads.cc)
+ * still passes them, and they go when that caller next changes.
  */
 std::unique_ptr<sim::Governor>
 make_governor(const std::string& policy, Watts tdp,
               const std::vector<double>& big_speedups,
-              bool online_speedup = false, int clearing_jobs = 1,
-              ThreadPool* clearing_pool = nullptr,
-              bool incremental = true);
+              bool online_speedup = false, int = 1,
+              ThreadPool* = nullptr, bool incremental = true);
 
 /** Run one of the paper's Table 6 sets on a fresh TC2-like chip. */
 RunResult run_set(const workload::WorkloadSet& set,

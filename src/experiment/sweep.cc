@@ -69,11 +69,8 @@ run_sweep(const SweepConfig& config)
     const std::size_t planned = config.sets.size() *
         config.policies.size() * static_cast<std::size_t>(config.n_seeds);
 
-    // One pool for the whole sweep: it steps the cells AND serves
-    // every cell's market clearing (a clearing round invoked from a
-    // cell worker runs inline -- ThreadPool::on_worker_thread), so an
-    // N-cell sweep on an M-core host never oversubscribes with N
-    // pools.  No pool at all when the sweep would run inline anyway.
+    // One pool steps every cell of the sweep.  No pool at all when
+    // the sweep would run inline anyway.
     std::unique_ptr<ThreadPool> shared;
     if (planned > 1 && ThreadPool::resolve_jobs(config.jobs) > 1)
         shared = std::make_unique<ThreadPool>(config.jobs);
@@ -87,7 +84,6 @@ run_sweep(const SweepConfig& config)
                 params.policy = policy;
                 params.seed =
                     cell_seed(config.base.seed, config.seed_stride, i);
-                params.clearing_pool = shared.get();
                 cells.push_back([set, params]() {
                     return run_set(set, params);
                 });

@@ -47,8 +47,8 @@ namespace ppm::experiment {
  * When `pool` is non-null the cells run on that external pool instead
  * of a fresh one (`jobs` is ignored); a caller already *on* one of
  * that pool's workers runs its cells inline, exactly like a nested
- * for_chunks().  run_sweep() uses this to share one pool between cell
- * stepping and the cells' market clearing.
+ * for_chunks().  run_sweep() passes the one pool it owns for the
+ * whole sweep.
  *
  * Takes the cell vector by value and moves each closure to its
  * worker: cell closures capture whole RunParams/spec payloads, so

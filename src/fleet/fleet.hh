@@ -113,11 +113,7 @@ struct FleetConfig {
 
     /**
      * Shard-stepping worker threads when no external pool is given:
-     * 1 = inline (default), <= 0 = one per hardware thread.  The same
-     * pool is attached to every shard's market for clearing (rounds
-     * invoked from a shard worker clear inline -- see
-     * ThreadPool::on_worker_thread), so an N-chip fleet runs on
-     * exactly one pool.
+     * 1 = inline (default), <= 0 = one per hardware thread.
      */
     int jobs = 1;
 

@@ -3,15 +3,16 @@
  * Differential execution and invariant checking of one fuzz scenario.
  *
  * A scenario is executed several ways -- every policy, macro-stepped
- * vs per-tick, and (for PPM) market clearing on one worker vs many --
- * and the runs are compared byte-for-byte: the full-precision
- * RunSummary fingerprint, the JSONL telemetry stream (every market
- * round, every field), and the traced time series when the scenario
- * records them.  On top of the differentials, global invariants are
- * checked per run: market budget conservation round by round, summary
- * sanity (finite, fractions in range, energy/power consistency), and
- * fault-counter consistency (clean runs report zero fault activity;
- * faulty runs stay within the compiled plan).
+ * vs per-tick, and (for PPM) incremental vs full market clearing and
+ * fleet shards on one worker vs many -- and the runs are compared
+ * byte-for-byte: the full-precision RunSummary fingerprint, the JSONL
+ * telemetry stream (every market round, every field), and the traced
+ * time series when the scenario records them.  On top of the
+ * differentials, global invariants are checked per run: market budget
+ * conservation round by round, summary sanity (finite, fractions in
+ * range, energy/power consistency), and fault-counter consistency
+ * (clean runs report zero fault activity; faulty runs stay within the
+ * compiled plan).
  */
 
 #ifndef PPM_FUZZ_CHECK_HH
@@ -28,12 +29,12 @@ namespace ppm::fuzz {
 /** One invariant violation found while checking a scenario. */
 struct Violation {
     /**
-     * Stable invariant slug: "macro-vs-tick", "clearing-jobs",
-     * "market-budget", "summary-sanity", "fault-counters",
-     * "tdp-duty", "incremental", "fleet-single", "fleet-jobs",
-     * "fleet-determinism", "fleet-budget", "fleet-incremental",
-     * "fleet-conservation", "fleet-fault-jobs", "snapshot-restore"
-     * or "fleet-snapshot-restore".  The shrinker reproduces on
+     * Stable invariant slug: "macro-vs-tick", "market-budget",
+     * "summary-sanity", "fault-counters", "tdp-duty", "incremental",
+     * "fleet-single", "fleet-jobs", "fleet-determinism",
+     * "fleet-budget", "fleet-incremental", "fleet-conservation",
+     * "fleet-fault-jobs", "snapshot-restore" or
+     * "fleet-snapshot-restore".  The shrinker reproduces on
      * (invariant, policy).
      */
     std::string invariant;
@@ -43,7 +44,7 @@ struct Violation {
 
 /**
  * Full-precision rendering of every RunSummary field (including the
- * fault counters), used as the macro-vs-tick and jobs-differential
+ * fault counters), used as the macro-vs-tick and fleet-jobs
  * comparison key: two runs are equivalent iff their fingerprints are
  * byte-identical.
  */

@@ -224,19 +224,9 @@ shrink_structure(Search& s)
         s.accept(cand);
     }
     // Governor knobs back to defaults.
-    if (s.best.clearing_jobs > 1) {
-        Scenario cand = s.best;
-        cand.clearing_jobs = 1;
-        s.accept(cand);
-    }
     if (s.best.online_speedup) {
         Scenario cand = s.best;
         cand.online_speedup = false;
-        s.accept(cand);
-    }
-    if (s.best.adaptive_step) {
-        Scenario cand = s.best;
-        cand.adaptive_step = false;
         s.accept(cand);
     }
     // Snapshot differential off (sticks unless the violation is the

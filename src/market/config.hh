@@ -147,24 +147,6 @@ struct PpmConfig {
      */
     double emergency_savings_tax = 0.03;
 
-    // --- Parallel clearing engine (Market::set_thread_pool) ---
-
-    /**
-     * Tasks per fan-out chunk of the parallel clearing passes.  The
-     * chunk boundaries depend only on the task count and this grain
-     * (never on the worker count), which is what keeps the cleared
-     * round bit-identical for every --jobs value.
-     */
-    int clearing_grain = 512;
-
-    /**
-     * Minimum task count before a round fans out to the attached
-     * thread pool.  Below it the passes run inline on the calling
-     * thread (a pool round-trip costs more than a small market), so
-     * the paper-scale fixtures stay allocation-free.
-     */
-    int clearing_min_tasks = 1024;
-
     /**
      * Incremental active-set clearing (escape hatch).  The dirty-bit
      * bookkeeping always runs; this flag only controls whether clean
@@ -175,38 +157,6 @@ struct PpmConfig {
      * execution trace when hunting dirty-set bugs.
      */
     bool incremental = true;
-
-    // --- Adaptive V-F stepping (SpeedEx-style tatonnement control) ---
-
-    /**
-     * Let a cluster agent step more than one V-F level per round when
-     * the price stays out of its tolerance band round after round and
-     * the chip-wide excess-demand objective (RoundReport::excess_l2)
-     * is not improving.  Off by default: the paper's cluster agent is
-     * strictly single-step, and the Table 1-3 reproductions depend on
-     * that cadence.
-     */
-    bool adaptive_step = false;
-
-    /**
-     * Fixed-point radix of the adaptive step accumulator.  A cluster's
-     * accumulator starts at 1 << step_radix (one level per round) and
-     * is rescaled by step_up/2^step_adjust_radix after a round that
-     * re-triggers in the same direction without improving the
-     * objective, and by step_down/2^step_adjust_radix after the
-     * pressure subsides; the level delta applied is the accumulator
-     * shifted back down by step_radix.
-     */
-    int step_radix = 7;
-
-    /** Radix of the step_up/step_down rescale factors. */
-    int step_adjust_radix = 5;
-
-    /** Accumulator growth factor numerator (45/32 = 1.4x per round). */
-    int step_up = 45;
-
-    /** Accumulator decay factor numerator (10/32 = 0.3x per round). */
-    int step_down = 10;
 };
 
 } // namespace ppm::market

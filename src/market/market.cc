@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace ppm::market {
 
@@ -51,17 +49,6 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
     PPM_ASSERT(cfg_.w_th < cfg_.w_tdp, "W_th must be below W_tdp");
     PPM_ASSERT(cfg_.tolerance > 0.0, "tolerance factor must be positive");
     PPM_ASSERT(cfg_.min_bid > 0.0, "minimum bid must be positive");
-    PPM_ASSERT(cfg_.clearing_grain >= 1, "clearing grain must be >= 1");
-    PPM_ASSERT(cfg_.clearing_min_tasks >= 0,
-               "clearing threshold must be >= 0");
-    PPM_ASSERT(cfg_.step_radix >= 0 && cfg_.step_radix <= 20 &&
-                   cfg_.step_adjust_radix >= 0 &&
-                   cfg_.step_adjust_radix <= 20,
-               "step radixes out of range");
-    PPM_ASSERT(cfg_.step_up >= (1 << cfg_.step_adjust_radix) &&
-                   cfg_.step_down >= 0 &&
-                   cfg_.step_down <= (1 << cfg_.step_adjust_radix),
-               "step factors must grow on step_up and shrink on step_down");
     for (CoreId c = 0; c < chip_->num_cores(); ++c)
         cores_[static_cast<std::size_t>(c)].id = c;
     group_offset_.assign(cores_.size() + 1, 0);
@@ -74,10 +61,7 @@ Market::Market(hw::Chip* chip, PpmConfig cfg)
     core_bid_recompute_.assign(ncores, 0);
     price_changed_last_.assign(ncores, 0);
     price_changed_now_.assign(ncores, 0);
-    core_fold_dirty_ =
-        std::make_unique<std::atomic<unsigned char>[]>(ncores);
-    for (std::size_t c = 0; c < ncores; ++c)
-        core_fold_dirty_[c].store(0, std::memory_order_relaxed);
+    core_fold_dirty_.assign(ncores, 0);
     const std::size_t ncl = clusters_.size();
     freeze_changed_.assign(ncl, 0);
     freeze_seen_.assign(ncl, 0);
@@ -126,37 +110,6 @@ Market::TaskSoa::resize(std::size_t n)
     active.resize(n);
 }
 
-bool
-Market::parallel_active() const
-{
-    return pool_ != nullptr && pool_->size() > 1 &&
-        tasks_.size() >=
-        static_cast<std::size_t>(cfg_.clearing_min_tasks);
-}
-
-template <typename Fn>
-void
-Market::for_task_chunks(Fn&& fn) const
-{
-    ThreadPool::for_chunks(
-        parallel_active() ? pool_ : nullptr, tasks_.size(),
-        static_cast<std::size_t>(cfg_.clearing_grain),
-        std::forward<Fn>(fn));
-}
-
-template <typename Fn>
-void
-Market::for_core_chunks(Fn&& fn) const
-{
-    // At most 16 chunks over the cores: per-core work is a handful of
-    // tasks, so finer chunks would be all dispatch overhead.  The
-    // chunk count depends only on the core count, never on the pool.
-    const std::size_t grain =
-        std::max<std::size_t>(1, (cores_.size() + 15) / 16);
-    ThreadPool::for_chunks(parallel_active() ? pool_ : nullptr,
-                           cores_.size(), grain, std::forward<Fn>(fn));
-}
-
 void
 Market::load_soa(bool full)
 {
@@ -180,20 +133,18 @@ Market::load_soa(bool full)
         }
         return;
     }
-    for_task_chunks([this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const TaskState& t = tasks_[i];
-            soa_.demand[i] = t.demand;
-            soa_.supply[i] = t.supply;
-            soa_.bid[i] = t.bid;
-            soa_.allowance[i] = t.allowance;
-            soa_.savings[i] = t.savings;
-            soa_.priority[i] = static_cast<double>(t.priority);
-            soa_.core[i] = t.core;
-            soa_.cluster[i] = chip_->cluster_of(t.core);
-            soa_.active[i] = t.active ? 1 : 0;
-        }
-    });
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+        const TaskState& t = tasks_[i];
+        soa_.demand[i] = t.demand;
+        soa_.supply[i] = t.supply;
+        soa_.bid[i] = t.bid;
+        soa_.allowance[i] = t.allowance;
+        soa_.savings[i] = t.savings;
+        soa_.priority[i] = static_cast<double>(t.priority);
+        soa_.core[i] = t.core;
+        soa_.cluster[i] = chip_->cluster_of(t.core);
+        soa_.active[i] = t.active ? 1 : 0;
+    }
 }
 
 void
@@ -210,15 +161,13 @@ Market::store_soa(bool full)
         }
         return;
     }
-    for_task_chunks([this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            TaskState& t = tasks_[i];
-            t.supply = soa_.supply[i];
-            t.bid = soa_.bid[i];
-            t.allowance = soa_.allowance[i];
-            t.savings = soa_.savings[i];
-        }
-    });
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+        TaskState& t = tasks_[i];
+        t.supply = soa_.supply[i];
+        t.bid = soa_.bid[i];
+        t.allowance = soa_.allowance[i];
+        t.savings = soa_.savings[i];
+    }
 }
 
 void
@@ -444,27 +393,22 @@ Market::bids_frozen(ClusterId v) const
 void
 Market::refresh_core_demands(bool skip_clean)
 {
-    // Each core's demand folds over its grouped tasks in id order --
-    // the exact association of the old single sequential walk -- so
-    // the parallel fan-out over core ranges is bit-identical to it
-    // for any chunking and any worker count.  A core outside
-    // core_recompute_ had no member demand change and no regrouping,
-    // so its memoized sum is the bit-exact fold result already.
-    for_core_chunks([this, skip_clean](std::size_t begin,
-                                       std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            if (skip_clean && core_recompute_[c] == 0)
-                continue;
-            Pu demand = 0.0;
-            const int lo = group_offset_[c];
-            const int hi = group_offset_[c + 1];
-            for (int k = lo; k < hi; ++k) {
-                demand += soa_.demand[static_cast<std::size_t>(
-                    group_task_[static_cast<std::size_t>(k)])];
-            }
-            cores_[c].demand = demand;
+    // Each core's demand folds over its grouped tasks in id order.  A
+    // core outside core_recompute_ had no member demand change and no
+    // regrouping, so its memoized sum is the bit-exact fold result
+    // already.
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (skip_clean && core_recompute_[c] == 0)
+            continue;
+        Pu demand = 0.0;
+        const int lo = group_offset_[c];
+        const int hi = group_offset_[c + 1];
+        for (int k = lo; k < hi; ++k) {
+            demand += soa_.demand[static_cast<std::size_t>(
+                group_task_[static_cast<std::size_t>(k)])];
         }
-    });
+        cores_[c].demand = demand;
+    }
 }
 
 ChipState
@@ -536,27 +480,24 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
     // sums fold over the per-core groups; the cluster sums fold over
     // the cluster's cores.  Both are sums of small integers, which
     // doubles represent exactly under any association, so the
-    // regrouped parallel folds equal the old per-task walk -- and the
-    // epoch-cached reuse below equals both: priorities only move with
-    // the groups, and integer sums have one exact value.
+    // epoch-cached reuse below equals a recomputation: priorities
+    // only move with the groups, and integer sums have one exact
+    // value.
     std::vector<double>& core_prio = scratch_core_prio_;
     std::vector<double>& cluster_prio = scratch_cluster_prio_;
     if (prio_epoch_ != groups_epoch_) {
         core_prio.resize(cores_.size());
         cluster_prio.assign(clusters_.size(), 0.0);
-        for_core_chunks([this, &core_prio](std::size_t begin,
-                                           std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c) {
-                double prio = 0.0;
-                const int lo = group_offset_[c];
-                const int hi = group_offset_[c + 1];
-                for (int k = lo; k < hi; ++k) {
-                    prio += soa_.priority[static_cast<std::size_t>(
-                        group_task_[static_cast<std::size_t>(k)])];
-                }
-                core_prio[c] = prio;
+        for (std::size_t c = 0; c < cores_.size(); ++c) {
+            double prio = 0.0;
+            const int lo = group_offset_[c];
+            const int hi = group_offset_[c + 1];
+            for (int k = lo; k < hi; ++k) {
+                prio += soa_.priority[static_cast<std::size_t>(
+                    group_task_[static_cast<std::size_t>(k)])];
             }
-        });
+            core_prio[c] = prio;
+        }
         for (ClusterId v = 0; v < chip_->num_clusters(); ++v) {
             for (CoreId c : chip_->cluster(v).cores()) {
                 cluster_prio[static_cast<std::size_t>(v)] +=
@@ -630,20 +571,16 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
         if (!bits_eq(value, soa_.allowance[i])) {
             soa_.allowance[i] = value;
             alloc_stamp_[i] = round_tag_;
-            flag_any_alloc_.store(true, std::memory_order_relaxed);
+            flag_any_alloc_ = true;
         }
     };
 
     if (!skip_clean) {
-        for_task_chunks([&write_task](std::size_t begin,
-                                      std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                write_task(i);
-        });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            write_task(i);
     } else {
         // Gather the members of the dirty clusters (cluster order,
-        // task-id order within -- both fixed by the index, never by
-        // the pool) and fan the writes out over that compact list.
+        // task-id order within) and write over that compact list.
         alloc_tasks_.clear();
         for (std::size_t v = 0; v < clusters_.size(); ++v) {
             const bool clean = !global && dist_valid_ &&
@@ -659,18 +596,8 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
                 alloc_tasks_.push_back(
                     cluster_task_[static_cast<std::size_t>(k)]);
         }
-        if (!alloc_tasks_.empty()) {
-            ThreadPool::for_chunks(
-                parallel_active() ? pool_ : nullptr,
-                alloc_tasks_.size(),
-                static_cast<std::size_t>(cfg_.clearing_grain),
-                [this, &write_task](std::size_t begin,
-                                    std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k)
-                        write_task(static_cast<std::size_t>(
-                            alloc_tasks_[k]));
-                });
-        }
+        for (const TaskId t : alloc_tasks_)
+            write_task(static_cast<std::size_t>(t));
     }
 
     dist_valid_ = true;
@@ -683,9 +610,8 @@ Market::distribute_allowance(Watts chip_power, bool skip_clean,
 void
 Market::place_bids(const std::vector<TaskId>* list)
 {
-    // Purely element-wise over the task agents (reads of the shared
-    // core prices and cluster freeze flags are immutable during the
-    // pass), so the chunks are independent and the fan-out exact.
+    // Purely element-wise over the task agents (the shared core prices
+    // and cluster freeze flags are read-only during the pass).
     // Skipping an entry is sound only when it sat at a bitwise fixed
     // point last round (bid/savings replayed verbatim) AND every
     // exogenous input -- demand, allowance, savings tax, last round's
@@ -739,9 +665,8 @@ Market::place_bids(const std::vector<TaskId>* list)
         if (bid_moved) {
             prev_bid_[i] = soa_.bid[i];
             bid_stamp_[i] = round_tag_;
-            core_fold_dirty_[static_cast<std::size_t>(soa_.core[i])]
-                .store(1, std::memory_order_relaxed);
-            flag_any_bid_.store(true, std::memory_order_relaxed);
+            core_fold_dirty_[static_cast<std::size_t>(soa_.core[i])] = 1;
+            flag_any_bid_ = true;
         }
         const bool savings_moved =
             !bits_eq(soa_.savings[i], prev_savings_[i]);
@@ -749,22 +674,15 @@ Market::place_bids(const std::vector<TaskId>* list)
             prev_savings_[i] = soa_.savings[i];
         task_carry_[i] = (bid_moved || savings_moved) ? 1 : 0;
         if (bid_moved || savings_moved)
-            flag_any_carry_.store(true, std::memory_order_relaxed);
+            flag_any_carry_ = true;
     };
 
     if (list == nullptr) {
-        for_task_chunks([&agent](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                agent(i);
-        });
-    } else if (!list->empty()) {
-        ThreadPool::for_chunks(
-            parallel_active() ? pool_ : nullptr, list->size(),
-            static_cast<std::size_t>(cfg_.clearing_grain),
-            [&agent, list](std::size_t begin, std::size_t end) {
-                for (std::size_t k = begin; k < end; ++k)
-                    agent(static_cast<std::size_t>((*list)[k]));
-            });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            agent(i);
+    } else {
+        for (const TaskId t : *list)
+            agent(static_cast<std::size_t>(t));
     }
 }
 
@@ -772,42 +690,38 @@ bool
 Market::discover_prices(bool skip_clean)
 {
     // Sum of bids per core: like refresh_core_demands(), each core
-    // folds its grouped tasks in id order, so the parallel reduction
-    // reproduces the old sequential walk bit for bit.  The same pass
-    // derives the per-core bid-floor flags control_supply() consumes
-    // (booleans, hence order-independent): whether the core hosts any
-    // active task and whether every one of its bids sits at b_min.
+    // folds its grouped tasks in id order.  The same pass derives the
+    // per-core bid-floor flags control_supply() consumes: whether the
+    // core hosts any active task and whether every one of its bids
+    // sits at b_min.
     // A core outside core_bid_recompute_ had no member bid change and
     // no regrouping, so its memoized fold (and flags) stand.
     std::vector<Money>& bid_sum = scratch_bid_sum_;
     bid_sum.resize(cores_.size());
     const Money floor = cfg_.min_bid + 1e-12;
-    for_core_chunks([this, &bid_sum, floor, skip_clean](
-                        std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            if (skip_clean && core_bid_recompute_[c] == 0)
-                continue;
-            Money bids = 0.0;
-            unsigned char all_floor = 1;
-            const int lo = group_offset_[c];
-            const int hi = group_offset_[c + 1];
-            for (int k = lo; k < hi; ++k) {
-                const auto i = static_cast<std::size_t>(
-                    group_task_[static_cast<std::size_t>(k)]);
-                bids += soa_.bid[i];
-                if (soa_.bid[i] > floor)
-                    all_floor = 0;
-            }
-            bid_sum[c] = bids;
-            core_any_task_[c] = hi > lo ? 1 : 0;
-            core_all_floor_[c] = all_floor;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (skip_clean && core_bid_recompute_[c] == 0)
+            continue;
+        Money bids = 0.0;
+        unsigned char all_floor = 1;
+        const int lo = group_offset_[c];
+        const int hi = group_offset_[c + 1];
+        for (int k = lo; k < hi; ++k) {
+            const auto i = static_cast<std::size_t>(
+                group_task_[static_cast<std::size_t>(k)]);
+            bids += soa_.bid[i];
+            if (soa_.bid[i] > floor)
+                all_floor = 0;
         }
-    });
+        bid_sum[c] = bids;
+        core_any_task_[c] = hi > lo ? 1 : 0;
+        core_all_floor_[c] = all_floor;
+    }
 
     // Price loop: always O(cores), never skipped.  Reading the live
     // core supply and bit-comparing the resulting price is what makes
-    // every supply-side channel (cluster V-F steps, adaptive-step
-    // jumps, power gating, safe-mode clamps, deferred faulted DVFS)
+    // every supply-side channel (cluster V-F steps, power gating,
+    // safe-mode clamps, deferred faulted DVFS)
     // an automatic invalidation: any change surfaces here and dirties
     // exactly the tasks that price their purchases off this core.
     bool any_price_moved = false;
@@ -844,60 +758,16 @@ Market::run_purchases(const std::vector<TaskId>* list)
         if (!bits_eq(supply, prev_supply_[i])) {
             prev_supply_[i] = supply;
             task_carry_[i] = 1;
-            flag_any_carry_.store(true, std::memory_order_relaxed);
+            flag_any_carry_ = true;
         }
     };
     if (list == nullptr) {
-        for_task_chunks([&purchase](std::size_t begin,
-                                    std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                purchase(i);
-        });
-    } else if (!list->empty()) {
-        ThreadPool::for_chunks(
-            parallel_active() ? pool_ : nullptr, list->size(),
-            static_cast<std::size_t>(cfg_.clearing_grain),
-            [&purchase, list](std::size_t begin, std::size_t end) {
-                for (std::size_t k = begin; k < end; ++k)
-                    purchase(static_cast<std::size_t>((*list)[k]));
-            });
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+            purchase(i);
+    } else {
+        for (const TaskId t : *list)
+            purchase(static_cast<std::size_t>(t));
     }
-}
-
-int
-Market::step_levels(ClusterCtl& ctl, int dir, bool improving)
-{
-    if (!cfg_.adaptive_step)
-        return 1;
-    const auto one = std::uint64_t{1} << cfg_.step_radix;
-    if (ctl.step == 0 || dir != ctl.last_dir) {
-        // Fresh pressure (or a direction flip): start over at one
-        // level per round, the paper's cadence.
-        ctl.step = one;
-    } else if (!improving) {
-        // The same band trigger fired again and the chip-wide excess
-        // objective stalled: single-level steps are too slow for this
-        // imbalance, so grow the accumulator geometrically
-        // (SpeedEx-style radix stepping).
-        ctl.step = (ctl.step * static_cast<std::uint64_t>(cfg_.step_up))
-            >> cfg_.step_adjust_radix;
-    }
-    ctl.last_dir = dir;
-    // The level delta is the accumulator's integer part, bounded for
-    // arithmetic health; Cluster::step_level clamps to the V-F table.
-    return static_cast<int>(
-        std::min<std::uint64_t>(ctl.step >> cfg_.step_radix, 64));
-}
-
-void
-Market::decay_step(ClusterCtl& ctl)
-{
-    if (!cfg_.adaptive_step || ctl.step == 0)
-        return;
-    const auto one = std::uint64_t{1} << cfg_.step_radix;
-    ctl.step = std::max(
-        one, (ctl.step * static_cast<std::uint64_t>(cfg_.step_down))
-            >> cfg_.step_adjust_radix);
 }
 
 void
@@ -922,14 +792,8 @@ Market::compute_excess_objective(RoundReport& report) const
 }
 
 int
-Market::control_supply(double objective)
+Market::control_supply()
 {
-    // Convergence signal for the adaptive stepper: the tatonnement is
-    // improving when this round's excess norm undercuts the previous
-    // round's by a margin.  Compared before prev_objective_ rolls
-    // forward (round() updates it after we return).
-    const bool improving = prev_objective_ >= 0.0 &&
-        objective < prev_objective_ * 0.95;
     if (!cfg_.dvfs_enabled) {
         // Keep the base prices tracking so the market stays
         // well-conditioned even though levels never move.
@@ -981,32 +845,28 @@ Market::control_supply(double objective)
         bool changed = false;
         if (cc.price >= cc.base_price * (1.0 + delta)) {
             // Inflation: raise supply.
-            changed = step_cluster(cl, +step_levels(ctl, +1, improving));
+            changed = step_cluster(cl, +1);
         } else if (cc.price <= cc.base_price * (1.0 - delta)) {
             if (may_deflate) {
                 // Deflation: lower supply.
-                changed =
-                    step_cluster(cl, -step_levels(ctl, -1, improving));
+                changed = step_cluster(cl, -1);
             } else {
                 // Deflation blocked by demand rounding: accept the
                 // lower price as the new base so the inflation trigger
                 // stays responsive.
                 cc.base_price = cc.price;
-                decay_step(ctl);
             }
         } else {
-            decay_step(ctl);
             if (cl.level() > 0) {
                 // Bid-floor deflation: once every bid on the
                 // constrained core has fallen to b_min, the price is
                 // pinned and can no longer signal over-supply.  The
                 // paper expects such a cluster to settle at the
                 // minimum frequency that covers its demand, so walk
-                // down (always one level: the coverage check below
-                // only clears the next level) while a lower level
-                // suffices.  The flags come from discover_prices()'s
-                // reduction pass, replacing the old O(tasks) scan per
-                // cluster per round.
+                // down one level while a lower level suffices.  The
+                // flags come from discover_prices()'s reduction pass,
+                // replacing the old O(tasks) scan per cluster per
+                // round.
                 const auto ci = static_cast<std::size_t>(constrained);
                 if (core_any_task_[ci] != 0 && core_all_floor_[ci] != 0 &&
                     cl.vf().supply(cl.level() - 1) >= cc.demand) {
@@ -1136,10 +996,8 @@ Market::round()
 {
     // Hot-path staging: mirror the ledger into the SoA vectors and
     // refresh the per-core task grouping, then run every clearing
-    // pass over the flat columns (fanning out to the attached pool
-    // when one is set -- see set_thread_pool for the determinism
-    // contract).  tasks_ itself is not written again until
-    // store_soa().
+    // pass over the flat columns.  tasks_ itself is not written again
+    // until store_soa().
     //
     // Incremental active-set clearing rides on top: the dirty
     // tracking below decides, pass by pass, which entries a full
@@ -1158,9 +1016,9 @@ Market::round()
         dist_valid_ = false;
         circ_valid_ = false;
     }
-    flag_any_alloc_.store(false, std::memory_order_relaxed);
-    flag_any_bid_.store(false, std::memory_order_relaxed);
-    flag_any_carry_.store(false, std::memory_order_relaxed);
+    flag_any_alloc_ = false;
+    flag_any_bid_ = false;
+    flag_any_carry_ = false;
 
     const long epoch_before = groups_epoch_;
     rebuild_groups();
@@ -1168,8 +1026,7 @@ Market::round()
     load_soa(!skip_clean);
 
     // Demand-fold recompute set: regrouping or any member demand
-    // change (set_demand marks the hosting core).  Decided serially
-    // so the counters stay off the workers.
+    // change (set_demand marks the hosting core).
     const std::size_t ncores = cores_.size();
     long cores_recomputed = 0;
     for (std::size_t c = 0; c < ncores; ++c) {
@@ -1234,11 +1091,8 @@ Market::round()
         // savings, so this round's bid pass runs over the full range.
         taxed = true;
         const double keep = 1.0 - cfg_.emergency_savings_tax;
-        for_task_chunks([this, keep](std::size_t begin,
-                                     std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                soa_.savings[i] *= keep;
-        });
+        for (Money& m : soa_.savings)
+            m *= keep;
     }
     distribute_allowance(chip_power, skip_clean, global);
 
@@ -1258,7 +1112,7 @@ Market::round()
         tasks_recomputed = static_cast<long>(ntasks);
     } else {
         const bool any_dirt = !ext_list_.empty() || any_carry_ ||
-            flag_any_alloc_.load(std::memory_order_relaxed) ||
+            flag_any_alloc_ ||
             any_price_changed_last_ || any_freeze_changed_;
         if (any_dirt) {
             for (std::size_t i = 0; i < ntasks; ++i) {
@@ -1280,11 +1134,10 @@ Market::round()
     place_bids(skip_clean && !book_all ? &dirty_tasks_ : nullptr);
 
     // ----- Bid-fold recompute set ---------------------------------
-    const bool any_bid_moved =
-        flag_any_bid_.load(std::memory_order_relaxed);
+    const bool any_bid_moved = flag_any_bid_;
     for (std::size_t c = 0; c < ncores; ++c) {
-        const unsigned char dirty =
-            core_fold_dirty_[c].exchange(0, std::memory_order_relaxed);
+        const unsigned char dirty = core_fold_dirty_[c];
+        core_fold_dirty_[c] = 0;
         const unsigned char r =
             (global || groups_rebuilt || dirty != 0) ? 1 : 0;
         core_bid_recompute_[c] = r;
@@ -1336,7 +1189,7 @@ Market::round()
 
     RoundReport report;
     compute_excess_objective(report);
-    const int vf_changes = control_supply(report.excess_l2);
+    const int vf_changes = control_supply();
     prev_objective_ = report.excess_l2;
     ++rounds_;
 
@@ -1355,7 +1208,7 @@ Market::round()
     // (bids read the previous round's prices; purchases this one's).
     std::swap(price_changed_last_, price_changed_now_);
     any_price_changed_last_ = any_price_moved;
-    any_carry_ = flag_any_carry_.load(std::memory_order_relaxed);
+    any_carry_ = flag_any_carry_;
     if (any_bid_moved)
         circ_valid_ = false;
     for (const TaskId t : ext_list_)

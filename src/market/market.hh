@@ -17,20 +17,13 @@
 #ifndef PPM_MARKET_MARKET_HH
 #define PPM_MARKET_MARKET_HH
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
 #include "fault/fault.hh"
 #include "hw/platform.hh"
 #include "market/config.hh"
-
-namespace ppm {
-class ThreadPool;
-} // namespace ppm
 
 namespace ppm::snap {
 class Writer;
@@ -78,8 +71,7 @@ struct RoundReport {
      * Convergence objective of the tatonnement round: the L2 norm of
      * the per-cluster price-weighted excess demand
      * (D_v - S_v) * P_constrained, taken after price discovery but
-     * before the cluster agents act.  Zero at a clearing equilibrium;
-     * the adaptive stepper accelerates only while this stalls.
+     * before the cluster agents act.  Zero at a clearing equilibrium.
      */
     double excess_l2 = 0.0;
 
@@ -186,17 +178,6 @@ class Market
      * mutable task()/core() hooks).
      */
     void set_cluster_power_raw(ClusterId v, Watts w);
-
-    /**
-     * Attach (or detach, with nullptr) a worker pool for the clearing
-     * passes of round().  The pool is not owned and may be shared;
-     * rounds fan the per-task and per-core passes out in fixed-size
-     * chunks (PpmConfig::clearing_grain) whose boundaries are
-     * independent of the worker count, so the cleared round is
-     * bit-identical for every pool size -- including none.  Markets
-     * below PpmConfig::clearing_min_tasks keep clearing inline.
-     */
-    void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
     /**
      * Execute one market round: chip-agent allowance update and
@@ -337,7 +318,7 @@ class Market
      * -- they decide the observable skip counters and recompute sets,
      * which a restored run must continue bit-exactly rather than
      * restart from a force-full round.  Non-owned attachments (chip,
-     * pool, DVFS port, telemetry) and round-local scratch are skipped.
+     * DVFS port, telemetry) and round-local scratch are skipped.
      */
     void save(snap::Writer& w) const;
     void load(snap::Reader& r);
@@ -348,19 +329,17 @@ class Market
         bool pending_base_reset = false; ///< Base price resets after
                                          ///< the next price discovery.
         Watts power = 0.0;               ///< Latest sensor reading.
-        std::uint64_t step = 0;          ///< Adaptive step accumulator
-                                         ///< (fixed point, 0 = unseeded).
-        int last_dir = 0;                ///< Direction of the last
-                                         ///< triggered V-F step.
     };
 
     /**
      * Struct-of-arrays mirror of the task ledger for the clearing hot
      * path.  tasks_ stays the authoritative copy between rounds (the
      * mutators and the watchdog write it); round() loads the mirror
-     * once, runs every per-task pass over the flat vectors -- which
-     * chunk cleanly across the pool and vectorize without the
-     * AoS stride -- and stores the written-to columns back at the end.
+     * once, runs every per-task pass over the flat vectors and stores
+     * the written-to columns back at the end.  The mirror lags tasks_
+     * for entries mutated since the last round, and the snapshot
+     * archive stores it as it stands, so it cannot be folded into
+     * tasks_ without changing the archive format.
      */
     struct TaskSoa {
         std::vector<Pu> demand;
@@ -375,17 +354,6 @@ class Market
 
         void resize(std::size_t n);
     };
-
-    /** True when round() should fan out to the attached pool. */
-    bool parallel_active() const;
-
-    /** Run `fn(begin, end)` over chunks of the task index range. */
-    template <typename Fn>
-    void for_task_chunks(Fn&& fn) const;
-
-    /** Run `fn(begin, end)` over chunks of the core index range. */
-    template <typename Fn>
-    void for_core_chunks(Fn&& fn) const;
 
     /**
      * Mirror tasks_ into the SoA hot vectors.  `full` copies every
@@ -406,10 +374,9 @@ class Market
     /**
      * Rebuild the per-core grouping of active task ids (counting
      * sort, id order preserved within each core) if a mutator dirtied
-     * it.  The grouping turns the per-core reductions into
-     * independent contiguous folds, which is what lets them run on
-     * pool workers without changing floating-point association: each
-     * core's sum is still accumulated in task-id order.
+     * it.  The grouping turns the per-core reductions into contiguous
+     * folds that an incremental round can run for the dirty cores
+     * alone, each still accumulated in task-id order.
      */
     void rebuild_groups();
 
@@ -422,21 +389,10 @@ class Market
     /**
      * Per-cluster price-weighted excess demand and its L2/L8 norms
      * (RoundReport::excess_l2/excess_l8), taken after price
-     * discovery, before the cluster agents act.
+     * discovery, before the cluster agents act.  Computed every round
+     * because last_report_ and prev_objective_ are archived.
      */
     void compute_excess_objective(RoundReport& report) const;
-
-    /**
-     * Adaptive level magnitude for cluster `ctl` triggering in
-     * direction `dir` (+1 inflation / -1 deflation): reseeds the
-     * accumulator on a direction change, grows it while the chip-wide
-     * objective stalls, and returns the level count to step.  Always
-     * 1 when adaptive stepping is disabled.
-     */
-    int step_levels(ClusterCtl& ctl, int dir, bool improving);
-
-    /** Decay `ctl`'s adaptive accumulator after a quiet round. */
-    void decay_step(ClusterCtl& ctl);
 
     /**
      * Chip-agent allowance update; returns the new chip state.
@@ -484,12 +440,10 @@ class Market
     void run_purchases(const std::vector<TaskId>* list);
 
     /**
-     * Cluster-agent DVFS decisions; returns number of level changes.
-     * `objective` is the round's excess_l2 norm -- the adaptive
-     * stepper compares it against the previous round's to decide
-     * whether the market is converging.
+     * Cluster-agent DVFS decisions (at most one level per cluster per
+     * round); returns the number of level changes.
      */
-    int control_supply(double objective);
+    int control_supply();
 
     /**
      * Step `cl` by `delta` levels through the DVFS port when one is
@@ -521,7 +475,6 @@ class Market
     bool allowance_clamped_ = false;  ///< Set by update_allowance().
     MarketTelemetry* telemetry_ = nullptr;  ///< Not owned; may be null.
     fault::DvfsPort* dvfs_port_ = nullptr;  ///< Not owned; may be null.
-    ThreadPool* pool_ = nullptr;            ///< Not owned; may be null.
 
     // Reusable per-round scratch (capacity kept across rounds) so a
     // steady-state round allocates nothing.
@@ -544,12 +497,12 @@ class Market
     bool groups_dirty_ = true;
 
     // Per-core bid-floor flags for control_supply(), produced by the
-    // discover_prices() reduction pass (order-independent booleans,
-    // so the parallel fold matches the old inline scan exactly).
+    // discover_prices() reduction pass.
     std::vector<unsigned char> core_any_task_;
     std::vector<unsigned char> core_all_floor_;
 
-    /** Chip-wide excess objective of the previous round (<0 = none). */
+    /** Chip-wide excess objective of the previous round (<0 = none).
+     *  Only the snapshot archive reads it. */
     double prev_objective_ = -1.0;
 
     // ---- Incremental active-set clearing ----------------------------
@@ -583,12 +536,10 @@ class Market
     std::vector<Money> prev_savings_;
     std::vector<Pu> prev_supply_;
 
-    // Per-core dirt.  core_fold_dirty_ is written by pool workers as
-    // bid changes are discovered (monotone relaxed stores; the pool
-    // join orders them before the control thread's read), everything
-    // else stays on the control thread.
+    // Per-core dirt.  core_fold_dirty_ is set by the bid pass as bid
+    // changes are discovered and consumed by the bid-fold set.
     std::vector<unsigned char> core_demand_dirty_;
-    std::unique_ptr<std::atomic<unsigned char>[]> core_fold_dirty_;
+    std::vector<unsigned char> core_fold_dirty_;
     std::vector<unsigned char> core_recompute_;      ///< Demand-fold set.
     std::vector<unsigned char> core_bid_recompute_;  ///< Bid-fold set.
     std::vector<unsigned char> price_changed_last_;  ///< Prev round.
@@ -600,31 +551,10 @@ class Market
     std::vector<unsigned char> freeze_seen_;
     bool any_freeze_changed_ = false;
 
-    /**
-     * std::atomic<bool> that copies its value on move so Market keeps
-     * its move constructor (the pool is always joined before a Market
-     * object is moved, so a plain value copy is race-free).
-     */
-    struct MovableFlag {
-        std::atomic<bool> v{false};
-        MovableFlag() = default;
-        MovableFlag(MovableFlag&& o) noexcept
-            : v(o.v.load(std::memory_order_relaxed)) {}
-        MovableFlag& operator=(MovableFlag&& o) noexcept
-        {
-            v.store(o.v.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            return *this;
-        }
-        void store(bool b, std::memory_order mo) { v.store(b, mo); }
-        bool load(std::memory_order mo) const { return v.load(mo); }
-    };
-
-    // Round-local "anything changed" flags; workers set them with
-    // relaxed stores (monotone, order-free), round() resets them.
-    MovableFlag flag_any_alloc_;
-    MovableFlag flag_any_bid_;
-    MovableFlag flag_any_carry_;
+    // Round-local "anything changed" flags; round() resets them.
+    bool flag_any_alloc_ = false;
+    bool flag_any_bid_ = false;
+    bool flag_any_carry_ = false;
 
     // distribute_allowance memo: parameters of the last distributing
     // round.  A cluster is clean iff the epoch, global allowance and

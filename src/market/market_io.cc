@@ -90,8 +90,13 @@ Market::save(snap::Writer& w) const
         w.b(cl.freeze_bids);
         w.b(cl.pending_base_reset);
         w.f64(cl.power);
-        w.u64(cl.step);
-        w.i32(cl.last_dir);
+        // Format version 1 stores an adaptive V-F step accumulator
+        // and the last step direction per cluster.  Clusters now step
+        // one level per round and keep neither; the stepper was off
+        // by default, which left both at zero, so writing zeros keeps
+        // the archive bytes unchanged.
+        w.u64(0);
+        w.i32(0);
     }
     w.f64(allowance_);
     w.i32(static_cast<int>(state_));
@@ -134,9 +139,7 @@ Market::save(snap::Writer& w) const
     w.f64v(prev_savings_);
     w.f64v(prev_supply_);
     w.u8v(core_demand_dirty_);
-    w.u64(cores_.size());
-    for (std::size_t c = 0; c < cores_.size(); ++c)
-        w.u8(core_fold_dirty_[c].load(std::memory_order_relaxed));
+    w.u8v(core_fold_dirty_);
     w.u8v(core_recompute_);
     w.u8v(core_bid_recompute_);
     // Cross-round per-core bid folds: cores outside the bid recompute
@@ -148,9 +151,9 @@ Market::save(snap::Writer& w) const
     w.u8v(freeze_changed_);
     w.u8v(freeze_seen_);
     w.b(any_freeze_changed_);
-    w.b(flag_any_alloc_.load(std::memory_order_relaxed));
-    w.b(flag_any_bid_.load(std::memory_order_relaxed));
-    w.b(flag_any_carry_.load(std::memory_order_relaxed));
+    w.b(flag_any_alloc_);
+    w.b(flag_any_bid_);
+    w.b(flag_any_carry_);
 
     // Distribution / priority / circulating-bid memos.
     w.b(dist_valid_);
@@ -218,8 +221,9 @@ Market::load(snap::Reader& r)
         cl.freeze_bids = r.b();
         cl.pending_base_reset = r.b();
         cl.power = r.f64();
-        cl.step = r.u64();
-        cl.last_dir = r.i32();
+        // Retired step accumulator and last step direction (see save).
+        r.u64();
+        r.i32();
     }
     allowance_ = r.f64();
     state_ = static_cast<ChipState>(r.i32());
@@ -259,11 +263,9 @@ Market::load(snap::Reader& r)
     r.f64v(&prev_savings_);
     r.f64v(&prev_supply_);
     r.u8v(&core_demand_dirty_);
-    const std::size_t n_fold = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_fold == cores_.size(),
+    r.u8v(&core_fold_dirty_);
+    PPM_ASSERT(core_fold_dirty_.size() == cores_.size(),
                "snapshot mismatch: core fold-dirty count differs");
-    for (std::size_t c = 0; c < n_fold; ++c)
-        core_fold_dirty_[c].store(r.u8(), std::memory_order_relaxed);
     r.u8v(&core_recompute_);
     r.u8v(&core_bid_recompute_);
     r.f64v(&scratch_bid_sum_);
@@ -273,9 +275,9 @@ Market::load(snap::Reader& r)
     r.u8v(&freeze_changed_);
     r.u8v(&freeze_seen_);
     any_freeze_changed_ = r.b();
-    flag_any_alloc_.store(r.b(), std::memory_order_relaxed);
-    flag_any_bid_.store(r.b(), std::memory_order_relaxed);
-    flag_any_carry_.store(r.b(), std::memory_order_relaxed);
+    flag_any_alloc_ = r.b();
+    flag_any_bid_ = r.b();
+    flag_any_carry_ = r.b();
 
     dist_valid_ = r.b();
     dist_epoch_ = static_cast<long>(r.i64());

@@ -319,33 +319,10 @@ TraceBus::histogram(SeriesId id) const
 }
 
 void
-TraceBus::sample(const std::string& series, SimTime time, double value)
-{
-    for (TraceSink* s : sinks_)
-        s->sample(series, time, value);
-}
-
-void
 TraceBus::event(const TraceEvent& e)
 {
     for (TraceSink* s : sinks_)
         s->event(e);
-}
-
-void
-TraceBus::count(const std::string& name, long delta)
-{
-    if (!enabled())
-        return;
-    count(intern(name), delta);
-}
-
-void
-TraceBus::observe(const std::string& name, double value)
-{
-    if (!enabled())
-        return;
-    observe(intern(name), value);
 }
 
 long

@@ -21,13 +21,12 @@
  * The bus also keeps cheap named counters and histograms (migrations,
  * V-F steps per cluster, bid-freeze epochs, allowance clamps, ...).
  *
- * Hot-path emitters resolve their names ONCE via `intern()` and then
- * record through the `SeriesId` overloads: O(1) flat-vector access,
- * no string hashing, no allocation.  The string-keyed entry points
- * remain as a compatibility layer over the interned core and produce
- * byte-identical output; they pay a map lookup per record and are fine
- * for cold paths.  Every entry point is zero-cost when no sink is
- * attached: emitters may guard expensive record construction with
+ * Emitters resolve their names ONCE via `intern()` and then record
+ * through the `SeriesId` handles: O(1) flat-vector access, no string
+ * hashing, no allocation.  Reads may go by name (`counter(name)`,
+ * `histogram(name)`, `counters()`, `histograms()`) for run footers
+ * and tests.  Every recording entry point is zero-cost when no sink
+ * is attached: emitters may guard expensive record construction with
  * `enabled()`, and the bus itself early-returns before touching any
  * storage.
  */
@@ -273,19 +272,10 @@ class TraceBus
     /** Histogram `id`, or nullptr if never observed. */
     const OnlineStats* histogram(SeriesId id) const;
 
-    // ---- String-keyed compatibility layer (cold paths) ----------------
-
-    /** Fan a sample out to every sink (no-op when disabled). */
-    void sample(const std::string& series, SimTime time, double value);
-
     /** Fan an event out to every sink (no-op when disabled). */
     void event(const TraceEvent& e);
 
-    /** Bump counter `name` by `delta` (no-op when disabled). */
-    void count(const std::string& name, long delta = 1);
-
-    /** Feed histogram `name` one value (no-op when disabled). */
-    void observe(const std::string& name, double value);
+    // ---- Name-keyed reads (footers, tests) ----------------------------
 
     /** Value of counter `name` (0 if never bumped). */
     long counter(const std::string& name) const;

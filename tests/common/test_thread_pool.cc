@@ -127,7 +127,7 @@ TEST(ThreadPool, ForChunksCoversRangeExactlyOnce)
 
 TEST(ThreadPool, ForChunksBoundariesIndependentOfWorkerCount)
 {
-    // The determinism contract of the clearing engine: the chunk
+    // The determinism contract of for_chunks: the chunk
     // decomposition is a pure function of (n, grain), so the inline
     // path and pools of any size hand out identical ranges.
     const auto inline_chunks = collect_chunks(nullptr, 100, 7);
@@ -167,9 +167,9 @@ TEST(ThreadPool, OnWorkerThreadOnlyInsideOwnWorkers)
 
 TEST(ThreadPool, NestedForChunksOnSamePoolRunsInline)
 {
-    // The fleet shards a run over the pool and each shard's market
-    // may itself call for_chunks() on the SAME pool for clearing.
-    // The nested call must run inline on the worker (never re-queue
+    // Work stepped on the pool may itself call for_chunks() on the
+    // SAME pool (a sweep cell or fleet shard that fans out).  The
+    // nested call must run inline on the worker (never re-queue
     // into the pool it is already draining), or two shards could
     // deadlock waiting on each other's queued chunks.
     ThreadPool pool(2);

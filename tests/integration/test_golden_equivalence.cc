@@ -13,9 +13,17 @@
  * length is the byte-identity check; a short verbatim head of each
  * stream is kept in the golden for debuggability.
  *
+ * The archive golden (tests/golden/snapshot_archive.txt) pins the
+ * snapshot format the same way: the size and FNV-1a-64 of the PPM,
+ * HPM and HL archives of this scenario saved at 3.5 s, and of a 4-chip
+ * PPM fleet of it saved at the first barrier at or after 3.5 s.  The
+ * kill-and-resume tests only prove that save and load agree inside
+ * one build; this one notices a save that writes different bytes than
+ * earlier builds did, which would strand every archive on disk.
+ *
  * Regenerate (only when an *intentional* output change lands) with:
  *   PPM_REGEN_GOLDEN=1 ./build/tests/test_integration \
- *       --gtest_filter='GoldenEquivalence.*'
+ *       --gtest_filter='GoldenEquivalence.*:ArchiveGolden.*'
  */
 
 #include <cinttypes>
@@ -30,10 +38,12 @@
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
+#include "fleet/fleet.hh"
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
 #include "metrics/telemetry.hh"
 #include "sim/simulation.hh"
+#include "snapshot/archive.hh"
 #include "tests/test_util.hh"
 
 #ifndef PPM_GOLDEN_DIR
@@ -65,22 +75,23 @@ fmt_exact(double v)
 }
 
 std::unique_ptr<sim::Governor>
-make_policy(const std::string& policy, bool incremental = true)
+make_policy(const std::string& policy, bool incremental = true,
+            Watts tdp = 3.5)
 {
     if (policy == "PPM") {
         market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = 3.5;
-        cfg.market.w_th = 2.9;
+        cfg.market.w_tdp = tdp;
+        cfg.market.w_th = market::derive_w_th(tdp);
         cfg.market.incremental = incremental;
         return std::make_unique<market::PpmGovernor>(cfg);
     }
     if (policy == "HPM") {
         baselines::HpmConfig cfg;
-        cfg.tdp = 3.5;
+        cfg.tdp = tdp;
         return std::make_unique<baselines::HpmGovernor>(cfg);
     }
     baselines::HlConfig cfg;
-    cfg.tdp = 3.5;
+    cfg.tdp = tdp;
     return std::make_unique<baselines::HlGovernor>(cfg);
 }
 
@@ -90,26 +101,37 @@ make_policy(const std::string& policy, bool incremental = true)
  * in-memory recorder plus both streaming sinks attached, a TDP low
  * enough that the governors actually throttle.
  */
-std::string
-run_scenario(const std::string& policy, bool incremental = true)
+std::vector<workload::TaskSpec>
+scenario_specs()
 {
-    std::vector<workload::TaskSpec> specs = {
+    return {
         test::steady_spec("encode", 2, 420.0, 1.7, 25.0),
         test::steady_spec("decode", 1, 250.0, 1.5, 20.0),
         test::steady_spec("background", 1, 120.0, 1.6, 10.0, 0.5),
     };
+}
+
+sim::SimConfig
+scenario_config()
+{
     sim::SimConfig cfg;
     cfg.duration = 6 * kSecond;
     cfg.warmup = kSecond;
     cfg.trace = true;
     cfg.trace_period = 500 * kMillisecond;
     cfg.tdp_for_metrics = 3.5;
-    cfg.lifetimes.resize(specs.size());
+    cfg.lifetimes.resize(3);
     cfg.lifetimes[1].arrival = 800 * kMillisecond;
     cfg.lifetimes[2].departure = 2 * kSecond;
+    return cfg;
+}
 
-    sim::Simulation sim(hw::tc2_chip(), specs,
-                        make_policy(policy, incremental), cfg);
+std::string
+run_scenario(const std::string& policy, bool incremental = true)
+{
+    sim::Simulation sim(hw::tc2_chip(), scenario_specs(),
+                        make_policy(policy, incremental),
+                        scenario_config());
     std::ostringstream csv_stream;
     std::ostringstream jsonl_stream;
     metrics::CsvStreamSink csv_sink(csv_stream);
@@ -167,11 +189,11 @@ golden_path(const std::string& policy)
     return std::string(PPM_GOLDEN_DIR) + "/hotpath_" + policy + ".txt";
 }
 
+/** Compare `actual` with the golden file at `path` (or rewrite it). */
 void
-check_against_golden(const std::string& policy)
+expect_golden(const std::string& path, const std::string& actual,
+              const char* what)
 {
-    const std::string actual = run_scenario(policy);
-    const std::string path = golden_path(policy);
     if (std::getenv("PPM_REGEN_GOLDEN") != nullptr) {
         std::ofstream f(path, std::ios::binary);
         ASSERT_TRUE(f.good()) << "cannot write " << path;
@@ -184,10 +206,16 @@ check_against_golden(const std::string& policy)
         << " (regenerate with PPM_REGEN_GOLDEN=1)";
     std::stringstream buf;
     buf << f.rdbuf();
-    EXPECT_EQ(buf.str(), actual)
-        << "hot-path output diverged from the committed golden -- the "
-           "rewrite changed observable bytes (summary, trace CSV or "
-           "JSONL)";
+    EXPECT_EQ(buf.str(), actual) << what;
+}
+
+void
+check_against_golden(const std::string& policy)
+{
+    expect_golden(golden_path(policy), run_scenario(policy),
+                  "hot-path output diverged from the committed golden "
+                  "-- the rewrite changed observable bytes (summary, "
+                  "trace CSV or JSONL)");
 }
 
 TEST(GoldenEquivalence, PpmSummaryAndTracesAreByteIdentical)
@@ -236,6 +264,76 @@ TEST(GoldenEquivalence, HlSummaryAndTracesAreByteIdentical)
 TEST(GoldenEquivalence, ScenarioIsDeterministicInProcess)
 {
     EXPECT_EQ(run_scenario("PPM"), run_scenario("PPM"));
+}
+
+/** "<name> <bytes> <fnv1a64>" of one finalized archive. */
+std::string
+archive_line(const std::string& name, const snap::Writer& w)
+{
+    const std::string bytes = w.finalize();
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%s %zu %016" PRIx64 "\n",
+                  name.c_str(), bytes.size(), fnv1a(bytes));
+    return buf;
+}
+
+constexpr SimTime kArchiveAt = 3500 * kMillisecond;
+
+std::string
+simulation_archive(const std::string& policy)
+{
+    sim::Simulation sim(hw::tc2_chip(), scenario_specs(),
+                        make_policy(policy), scenario_config());
+    std::ostringstream csv_stream;
+    std::ostringstream jsonl_stream;
+    metrics::CsvStreamSink csv_sink(csv_stream);
+    metrics::JsonlSink jsonl_sink(jsonl_stream);
+    sim.bus().add_sink(&csv_sink);
+    sim.bus().add_sink(&jsonl_sink);
+    sim.run_until(kArchiveAt);
+    snap::Writer w;
+    sim.save(w);
+    return archive_line(policy, w);
+}
+
+std::string
+fleet_archive()
+{
+    constexpr int kChips = 4;
+    fleet::FleetConfig fc;
+    fc.chips = kChips;
+    fc.epoch = 96 * kMillisecond;
+    fc.supervisor.total_budget = 3.5 * kChips;
+    fc.sim = scenario_config();
+    fc.make_chip = [](int) { return hw::tc2_chip(); };
+    fc.make_governor = [](int, Watts budget) {
+        return make_policy("PPM", true, budget);
+    };
+    for (int c = 0; c < kChips; ++c) {
+        fleet::ChipWorkload wl;
+        wl.specs = scenario_specs();
+        wl.lifetimes = fc.sim.lifetimes;
+        fc.workloads.push_back(std::move(wl));
+    }
+    fleet::Fleet f(std::move(fc));
+    while (f.now() < kArchiveAt && f.run_epoch()) {
+    }
+    snap::Writer w;
+    f.save(w);
+    return archive_line("fleet4", w);
+}
+
+TEST(ArchiveGolden, SnapshotBytesMatchRecordedFormat)
+{
+    std::string actual;
+    for (const char* policy : {"PPM", "HPM", "HL"})
+        actual += simulation_archive(policy);
+    actual += fleet_archive();
+    expect_golden(std::string(PPM_GOLDEN_DIR) + "/snapshot_archive.txt",
+                  actual,
+                  "snapshot archive bytes changed -- archives written by "
+                  "earlier builds would no longer load (each line: name, "
+                  "size, FNV-1a-64)");
 }
 
 } // namespace

@@ -221,8 +221,8 @@ TEST(Incremental, ExternalVfStepInvalidatesThePricedCluster)
     SteadyFixture f;
     ASSERT_GT(f.settle(), 0);
     // Step cluster 1's V-F level behind the market's back -- the
-    // stand-in for every external supply channel (adaptive-step
-    // jumps, safe-mode clamps, power gating).  The price loop reads
+    // stand-in for every external supply channel (safe-mode clamps,
+    // power gating, faulted DVFS).  The price loop reads
     // chip supplies fresh each round and bit-compares, so the change
     // needs no explicit hook to reach the purchase pass.
     const int before = f.chip.cluster(1).level();

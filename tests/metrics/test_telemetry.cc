@@ -15,10 +15,10 @@ TEST(TraceBus, DisabledBusIsInert)
     TraceBus bus;
     EXPECT_FALSE(bus.enabled());
     // Every entry point must be a no-op with no sink attached.
-    bus.sample("x", kSecond, 1.0);
+    bus.sample(bus.intern("x"), kSecond, 1.0);
     bus.event(TraceEvent("e", kSecond).set("a", 1.0));
-    bus.count("migrations");
-    bus.observe("power", 2.0);
+    bus.count(bus.intern("migrations"));
+    bus.observe(bus.intern("power"), 2.0);
     EXPECT_EQ(bus.counter("migrations"), 0);
     EXPECT_EQ(bus.histogram("power"), nullptr);
     EXPECT_TRUE(bus.counters().empty());
@@ -31,15 +31,17 @@ TEST(TraceBus, CountersAndHistograms)
     TraceBus bus;
     bus.add_sink(std::make_unique<MemorySink>(&rec));
     ASSERT_TRUE(bus.enabled());
-    bus.count("migrations");
-    bus.count("migrations", 2);
-    bus.count("vf_steps_cluster0");
+    const SeriesId migrations = bus.intern("migrations");
+    const SeriesId power = bus.intern("power");
+    bus.count(migrations);
+    bus.count(migrations, 2);
+    bus.count(bus.intern("vf_steps_cluster0"));
     EXPECT_EQ(bus.counter("migrations"), 3);
     EXPECT_EQ(bus.counter("vf_steps_cluster0"), 1);
     EXPECT_EQ(bus.counter("never"), 0);
 
-    bus.observe("power", 1.0);
-    bus.observe("power", 3.0);
+    bus.observe(power, 1.0);
+    bus.observe(power, 3.0);
     const OnlineStats* h = bus.histogram("power");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 2u);
@@ -56,7 +58,7 @@ TEST(TraceBus, FansOutToEverySink)
     bus.add_sink(std::make_unique<MemorySink>(&rec_a));
     MemorySink external(&rec_b);
     bus.add_sink(&external);
-    bus.sample("s", kSecond, 5.0);
+    bus.sample(bus.intern("s"), kSecond, 5.0);
     ASSERT_EQ(rec_a.series("s").size(), 1u);
     ASSERT_EQ(rec_b.series("s").size(), 1u);
     EXPECT_DOUBLE_EQ(rec_a.series("s")[0].value, 5.0);
@@ -141,44 +143,6 @@ TEST(TraceBus, InterningIsIdempotentAndStable)
     EXPECT_EQ(bus.intern("chip_power_w"), a);
 }
 
-TEST(TraceBus, InternedAndStringPathsAreEquivalent)
-{
-    // The same records through the SeriesId overloads and the
-    // string-keyed compatibility layer must be indistinguishable to
-    // sinks and to the counter/histogram accessors.
-    TraceRecorder rec_id;
-    TraceBus bus_id;
-    bus_id.add_sink(std::make_unique<MemorySink>(&rec_id));
-    const SeriesId power = bus_id.intern("power");
-    const SeriesId migs = bus_id.intern("migrations");
-    bus_id.sample(power, kSecond, 1.5);
-    bus_id.sample(power, 2 * kSecond, 2.5);
-    bus_id.count(migs, 2);
-    bus_id.observe(power, 4.0);
-
-    TraceRecorder rec_str;
-    TraceBus bus_str;
-    bus_str.add_sink(std::make_unique<MemorySink>(&rec_str));
-    bus_str.sample("power", kSecond, 1.5);
-    bus_str.sample("power", 2 * kSecond, 2.5);
-    bus_str.count("migrations", 2);
-    bus_str.observe("power", 4.0);
-
-    std::ostringstream a;
-    std::ostringstream b;
-    rec_id.write_csv(a);
-    rec_str.write_csv(b);
-    EXPECT_EQ(a.str(), b.str());
-    EXPECT_EQ(bus_id.counters(), bus_str.counters());
-    EXPECT_EQ(bus_id.counter(migs), bus_str.counter("migrations"));
-    ASSERT_NE(bus_id.histogram(power), nullptr);
-    ASSERT_NE(bus_str.histogram("power"), nullptr);
-    EXPECT_EQ(bus_id.histogram(power)->count(),
-              bus_str.histogram("power")->count());
-    EXPECT_DOUBLE_EQ(bus_id.histogram(power)->mean(),
-                     bus_str.histogram("power")->mean());
-}
-
 TEST(TraceBus, InternedCountersListOnlyTouchedNames)
 {
     // An interned-but-never-recorded name must not appear in the
@@ -243,8 +207,9 @@ TEST(TraceBus, MemorySinkMatchesDirectRecording)
     TraceRecorder via_bus;
     TraceBus bus;
     bus.add_sink(std::make_unique<MemorySink>(&via_bus));
-    bus.sample("x", kSecond, 1.0);
-    bus.sample("x", 2 * kSecond, 2.0);
+    const SeriesId x = bus.intern("x");
+    bus.sample(x, kSecond, 1.0);
+    bus.sample(x, 2 * kSecond, 2.0);
 
     std::ostringstream a;
     std::ostringstream b;

@@ -7,7 +7,7 @@
  * to completion is byte-identical to the uninterrupted run: summary
  * fingerprints, streamed telemetry (concatenated across the kill)
  * and traced time series, for every policy, both stepping engines,
- * clearing pools, and chip-fault-injected fleets.
+ * and chip-fault-injected fleets.
  */
 
 #include <cmath>

@@ -2,12 +2,12 @@
  * @file
  * Differential fuzz driver: generate seeded random scenarios, execute
  * each one every way the engine is supposed to be equivalent (every
- * policy, macro-step vs per-tick, market clearing on one worker vs a
- * pool) and check the global invariants (byte-identical summaries and
- * telemetry, market budget conservation, summary sanity, fault
- * counters).  On a violation the scenario is auto-shrunk and the
- * minimized reproducer written as a fixture file with a one-line
- * replay command.
+ * policy, macro-step vs per-tick, incremental vs full market
+ * clearing, fleet shards on one worker vs a pool) and check the
+ * global invariants (byte-identical summaries and telemetry, market
+ * budget conservation, summary sanity, fault counters).  On a
+ * violation the scenario is auto-shrunk and the minimized reproducer
+ * written as a fixture file with a one-line replay command.
  *
  * Usage:
  *   ppm_fuzz [--count N] [--seed N] [--jobs N] [--no-shrink]

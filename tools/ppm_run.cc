@@ -26,7 +26,7 @@
  * supervisor market reallocates the fleet power budget across chips
  * (--fleet-budget, default: --tdp x N when --tdp is set, uncapped
  * otherwise; --fleet-epoch sets the barrier period in milliseconds).
- * --jobs sets the shared shard-stepping/clearing pool's worker count.
+ * --jobs sets the shard-stepping pool's worker count.
  * The summary table aggregates the fleet (a 1-chip fleet prints
  * exactly the single-chip table); fleet output is byte-identical for
  * every --jobs value.  --trace/--trace-out/--avg-seeds are
@@ -70,11 +70,10 @@
  * --avg-seeds N runs N seeds (seed, +100, +200, ...) and prints the
  * cross-seed aggregate (see experiment::aggregate_summaries); --jobs
  * caps the worker threads the seeds run on (0 = all hardware
- * threads).  On a single run (--avg-seeds 1, the default), --jobs
- * instead sets the worker count of PPM's parallel market-clearing
- * engine.  Either way the output is identical for every --jobs
- * value -- clearing fans out in fixed chunks with deterministic
- * reductions, so the flag is purely a wall-clock knob.
+ * threads).  The output is identical for every --jobs value, so the
+ * flag is purely a wall-clock knob.  A single run (--avg-seeds 1,
+ * the default, without --fleet) is one simulation on the calling
+ * thread and accepts --jobs without using it.
  *
  * Tracing comes in two flavours:
  *  - --trace FILE.csv buffers the sampled time series in memory and
@@ -139,7 +138,9 @@ usage(const char* argv0)
         "--fleet N federates N chips under a supervisor power market\n"
         "(--fleet-budget watts across the fleet, default --tdp x N;\n"
         "--fleet-epoch barrier period in ms; --jobs workers step the\n"
-        "shards and clear the markets off one shared pool).\n"
+        "shards).\n"
+        "--jobs N sets the worker threads of --fleet and --avg-seeds\n"
+        "runs (0 = all hardware threads); a single run ignores it.\n"
         "--per-tick disables the event-horizon macro-stepping engine\n"
         "and runs the historical tick-by-tick loop (results are\n"
         "bit-identical either way; use it to cross-check).\n"
@@ -457,28 +458,36 @@ main(int argc, char** argv)
         }
     };
 
-    // Save `source` atomically to --snapshot-out; accounting rides the
-    // bus as snapshot.* counters (excluded from saved state, so a
-    // restored run never inherits them).
-    auto save_or_die = [&snap_out](auto& source, metrics::TraceBus& bus) {
-        snap::Writer w;
-        const auto t0 = std::chrono::steady_clock::now();
-        source.save(w);
-        std::string error;
-        if (!snap::write_file(snap_out, w, &error)) {
-            std::fprintf(stderr, "ppm_run: snapshot save failed: %s\n",
-                         error.c_str());
-            std::exit(1);
-        }
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        bus.count("snapshot.saves");
-        bus.count("snapshot.bytes", static_cast<long>(w.size()));
-        bus.count("snapshot.ms", static_cast<long>(ms + 0.5));
-        std::fprintf(stderr, "snapshot: %zu bytes to %s (%.1f ms)\n",
-                     w.size(), snap_out.c_str(), ms);
+    // A saver for `source` that writes it atomically to --snapshot-out;
+    // accounting rides `bus` as snapshot.* counters (excluded from
+    // saved state, so a restored run never inherits them), interned
+    // once here.
+    auto snapshot_saver = [&snap_out](auto& source,
+                                      metrics::TraceBus& bus) {
+        const metrics::SeriesId saves_id = bus.intern("snapshot.saves");
+        const metrics::SeriesId bytes_id = bus.intern("snapshot.bytes");
+        const metrics::SeriesId ms_id = bus.intern("snapshot.ms");
+        return [&snap_out, &source, &bus, saves_id, bytes_id,
+                ms_id]() {
+            snap::Writer w;
+            const auto t0 = std::chrono::steady_clock::now();
+            source.save(w);
+            std::string error;
+            if (!snap::write_file(snap_out, w, &error)) {
+                std::fprintf(stderr, "ppm_run: snapshot save failed: %s\n",
+                             error.c_str());
+                std::exit(1);
+            }
+            const double ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            bus.count(saves_id);
+            bus.count(bytes_id, static_cast<long>(w.size()));
+            bus.count(ms_id, static_cast<long>(ms + 0.5));
+            std::fprintf(stderr, "snapshot: %zu bytes to %s (%.1f ms)\n",
+                         w.size(), snap_out.c_str(), ms);
+        };
     };
 
     // --snapshot-at exit: the run is intentionally unfinished; flush
@@ -546,21 +555,17 @@ main(int argc, char** argv)
                 params.duration + 100 * kSecond);
             fc.workloads.push_back(std::move(wl));
         }
-        // One pool for shard stepping AND market clearing; absent
-        // --jobs (or --jobs 1) everything runs inline, which produces
-        // the same bytes.
+        // One pool steps the shards; absent --jobs (or --jobs 1)
+        // everything runs inline, which produces the same bytes.
         std::unique_ptr<ThreadPool> pool;
         if (jobs_given && jobs != 1)
             pool = std::make_unique<ThreadPool>(jobs);
-        ThreadPool* shared = pool.get();
-        fc.pool = shared;
+        fc.pool = pool.get();
         fc.make_chip = [](int) { return hw::tc2_chip(); };
-        fc.make_governor = [&params, &speedups, shared](int,
-                                                        Watts budget) {
-            return experiment::make_governor(params.policy, budget,
-                                             speedups,
-                                             params.online_speedup, 1,
-                                             shared, params.incremental);
+        fc.make_governor = [&params, &speedups](int, Watts budget) {
+            return experiment::make_governor(
+                params.policy, budget, speedups, params.online_speedup,
+                1, nullptr, params.incremental);
         };
         const auto start = std::chrono::steady_clock::now();
         fleet::Fleet fleet(std::move(fc));
@@ -571,15 +576,16 @@ main(int argc, char** argv)
             // at the first barrier at or after the requested time.
             while (fleet.now() < snap_at && fleet.run_epoch()) {
             }
-            save_or_die(fleet, fleet.bus());
+            snapshot_saver(fleet, fleet.bus())();
             return snapshot_exit();
         }
         if (snap_every > 0) {
+            const auto save = snapshot_saver(fleet, fleet.bus());
             SimTime due =
                 (fleet.now() / snap_every + 1) * snap_every;
             while (fleet.now() < params.duration && fleet.run_epoch()) {
                 if (fleet.now() >= due) {
-                    save_or_die(fleet, fleet.bus());
+                    save();
                     due = (fleet.now() / snap_every + 1) * snap_every;
                 }
             }
@@ -601,8 +607,6 @@ main(int argc, char** argv)
         // build it here exactly as experiment::run_specs() does; the
         // restore path rebuilds this identical object from the same
         // flags and then overwrites its dynamic state from the file.
-        if (jobs_given)
-            params.clearing_jobs = jobs;
         const auto specs = workload::instantiate(
             set, params.seed, params.priority,
             params.duration + 100 * kSecond);
@@ -627,8 +631,7 @@ main(int argc, char** argv)
             std::move(chip), specs,
             experiment::make_governor(
                 params.policy, params.tdp, speedups,
-                params.online_speedup, params.clearing_jobs,
-                params.clearing_pool, params.incremental),
+                params.online_speedup, 1, nullptr, params.incremental),
             sim_cfg);
         if (params.extra_sink != nullptr)
             simulation.bus().add_sink(params.extra_sink);
@@ -637,15 +640,17 @@ main(int argc, char** argv)
         const auto start = std::chrono::steady_clock::now();
         if (snap_at > 0) {
             simulation.run_until(snap_at);
-            save_or_die(simulation, simulation.bus());
+            snapshot_saver(simulation, simulation.bus())();
             return snapshot_exit();
         }
         if (snap_every > 0) {
+            const auto save =
+                snapshot_saver(simulation, simulation.bus());
             for (SimTime due =
                      (simulation.now() / snap_every + 1) * snap_every;
                  due < params.duration; due += snap_every) {
                 simulation.run_until(due);
-                save_or_die(simulation, simulation.bus());
+                save();
             }
         }
         simulation.run_until(params.duration);
@@ -656,10 +661,6 @@ main(int argc, char** argv)
         if (!trace_path.empty())
             simulation.recorder().write_csv(trace_out);
     } else {
-        // Single run: --jobs drives the market's parallel clearing
-        // engine (0 = all hardware threads, resolved by the pool).
-        if (jobs_given)
-            params.clearing_jobs = jobs;
         const experiment::RunResult result =
             experiment::run_set(set, params);
         s = result.summary;
