@@ -28,8 +28,8 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build build --target bench_hotpath > /dev/null
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build -j "$(nproc)" --target bench_hotpath > /dev/null
 
 # Microbenchmarks: everything except the end-to-end runs, so the JSON
 # stays name-for-name comparable with the baselines of earlier PRs.

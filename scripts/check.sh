@@ -4,8 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_WERROR=ON
-cmake --build build
+# No -G: build/ keeps whichever generator first configured it (the
+# tier-1 command `cmake -B build -S .` uses CMake's default).
+cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPPM_WERROR=ON
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # Fast smoke pass over the benches (full runs are minutes; see

@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot serialization of the HPM and HL baseline governors.  Both
+ * Snapshot field lists of the HPM and HL baseline governors.  Both
  * are restored into a fresh governor that already ran init() and
  * replayed mid-run admissions (see sim::Governor::save), so the
  * topology-derived members (cluster ids, key caches) are rebuilt and
@@ -9,81 +9,43 @@
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
-#include "common/logging.hh"
 #include "snapshot/archive.hh"
 
 namespace ppm::baselines {
 
+template <class A, class Self>
 void
-Pid::save(snap::Writer& w) const
+Pid::fields(A& a, Self& self)
 {
-    w.f64(integral_);
-    w.f64(prev_error_);
-    w.b(has_prev_);
+    a(self.integral_, self.prev_error_, self.has_prev_);
 }
 
+template void Pid::fields(snap::Writer&, const Pid&);
+template void Pid::fields(snap::Reader&, Pid&);
+
+template <class A, class Self>
 void
-Pid::load(snap::Reader& r)
+HpmGovernor::fields(A& a, Self& self)
 {
-    integral_ = r.f64();
-    prev_error_ = r.f64();
-    has_prev_ = r.b();
+    a(self.cfg_.tdp);  // set_power_budget() retargets it mid-run.
+    a.same_size(self.cluster_pid_, "snapshot mismatch: HPM cluster count");
+    a(self.level_f_, self.level_cap_, self.unsat_count_, self.sat_count_,
+      self.next_dvfs_, self.next_lbt_, self.next_tdp_, self.guard_);
 }
 
+template void HpmGovernor::fields(snap::Writer&, const HpmGovernor&);
+template void HpmGovernor::fields(snap::Reader&, HpmGovernor&);
+
+template <class A, class Self>
 void
-HpmGovernor::save(snap::Writer& w) const
+HlGovernor::fields(A& a, Self& self)
 {
-    w.f64(cfg_.tdp);  // set_power_budget() retargets it mid-run.
-    w.u64(cluster_pid_.size());
-    for (const Pid& pid : cluster_pid_)
-        pid.save(w);
-    w.f64v(level_f_);
-    w.i32v(level_cap_);
-    w.i32v(unsat_count_);
-    w.i32v(sat_count_);
-    w.i64(next_dvfs_);
-    w.i64(next_lbt_);
-    w.i64(next_tdp_);
-    guard_.save(w);
+    // cfg_.tdp: set_power_budget() retargets it mid-run.
+    a(self.cfg_.tdp, self.next_sched_, self.next_dvfs_, self.big_killed_,
+      self.guard_);
 }
 
-void
-HpmGovernor::load(snap::Reader& r)
-{
-    cfg_.tdp = r.f64();
-    const std::size_t n_pid = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_pid == cluster_pid_.size(),
-               "snapshot mismatch: HPM cluster count");
-    for (Pid& pid : cluster_pid_)
-        pid.load(r);
-    r.f64v(&level_f_);
-    r.i32v(&level_cap_);
-    r.i32v(&unsat_count_);
-    r.i32v(&sat_count_);
-    next_dvfs_ = r.i64();
-    next_lbt_ = r.i64();
-    next_tdp_ = r.i64();
-    guard_.load(r);
-}
-
-void
-HlGovernor::save(snap::Writer& w) const
-{
-    w.f64(cfg_.tdp);  // set_power_budget() retargets it mid-run.
-    w.i64(next_sched_);
-    w.i64(next_dvfs_);
-    w.b(big_killed_);
-    guard_.save(w);
-}
-
-void
-HlGovernor::load(snap::Reader& r)
-{
-    cfg_.tdp = r.f64();
-    next_sched_ = r.i64();
-    next_dvfs_ = r.i64();
-    big_killed_ = r.b();
-    guard_.load(r);
-}
+template void HlGovernor::fields(snap::Writer&, const HlGovernor&);
+template void HlGovernor::fields(snap::Reader&, HlGovernor&);
 
 } // namespace ppm::baselines

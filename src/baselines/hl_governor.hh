@@ -124,10 +124,12 @@ class HlGovernor : public sim::Governor
      * Serialize the retargeted budget, timers, the big-kill latch and
      * the sensor guard.
      */
-    void save(snap::Writer& w) const override;
-    void load(snap::Reader& r) override;
+    void save(snap::Writer& w) const override { fields(w, *this); }
+    void load(snap::Reader& r) override { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** Activeness-threshold migrations plus intra-cluster balancing. */
     void schedule(sim::Simulation& sim, SimTime now);
 

@@ -54,10 +54,12 @@ class Pid
     void reset();
 
     /** Serialize the integrator and derivative memory. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     Params params_;
     double integral_ = 0.0;
     double prev_error_ = 0.0;
@@ -116,10 +118,12 @@ class HpmGovernor : public sim::Governor
      * continuous levels, TDP caps, migration streaks, loop timers and
      * sensor guard.
      */
-    void save(snap::Writer& w) const override;
-    void load(snap::Reader& r) override;
+    void save(snap::Writer& w) const override { fields(w, *this); }
+    void load(snap::Reader& r) override { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** Inner loop: per-cluster PI on the constrained-core demand. */
     void run_dvfs(sim::Simulation& sim, SimTime dt);
 

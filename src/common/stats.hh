@@ -54,10 +54,12 @@ class OnlineStats
     /** Reset to the empty state. */
     void reset();
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     std::size_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
@@ -91,10 +93,12 @@ class DutyCycle
     /** Reset to the empty state. */
     void reset();
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     SimTime total_ = 0;
     SimTime true_ = 0;
 };
@@ -156,10 +160,12 @@ class WindowRate
      * with head 0; ring arithmetic is masked, so logical run equality
      * reproduces the exact future sum/eviction trajectory.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** `n` samples at first, first+stride, ..., each worth `count`. */
     struct Run {
         SimTime first;

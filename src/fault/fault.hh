@@ -340,10 +340,12 @@ public:
     void count_watchdog_trip();
 
     /** Cursors and pending actions; the plan itself is recompiled. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
 private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     using SeriesIdOpaque = std::int32_t;
 
     struct PendingLevel {
@@ -353,6 +355,8 @@ private:
         SimTime backoff = 0;
         bool from_fail = false;
         bool active = false;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
     struct PendingMigration {
         TaskId task = kInvalidId;
@@ -360,6 +364,8 @@ private:
         SimTime due = 0;
         int retries_left = 0;
         SimTime backoff = 0;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     const FaultEvent* active_dvfs_event(ClusterId cluster,
@@ -441,10 +447,12 @@ public:
 
     bool safe_mode() const { return safe_; }
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
 private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     Watts filter(Watts raw, ClusterId cluster, SimTime now);
 
     FaultInjector* injector_ = nullptr;

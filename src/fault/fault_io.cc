@@ -1,109 +1,56 @@
 /**
  * @file
- * Snapshot serialization of the fault injector's runtime cursors and
+ * Snapshot field lists of the fault injector's runtime cursors and
  * the sensor guard.  The compiled plans are not serialized: the
  * restoring process recompiles them from the same spec/seed, which by
  * construction yields the identical schedule.
  */
 
-#include "common/logging.hh"
 #include "fault/fault.hh"
 #include "snapshot/archive.hh"
 
 namespace ppm::fault {
 
+template <class A, class S>
 void
-FaultInjector::save(snap::Writer& w) const
+FaultInjector::PendingLevel::fields(A& a, S& p)
 {
-    w.i64(static_cast<std::int64_t>(stats_.injected));
-    w.i64(static_cast<std::int64_t>(stats_.sensor_fallbacks));
-    w.i64(static_cast<std::int64_t>(stats_.dvfs_deferred));
-    w.i64(static_cast<std::int64_t>(stats_.dvfs_retries));
-    w.i64(static_cast<std::int64_t>(stats_.migration_retries));
-    w.i64(static_cast<std::int64_t>(stats_.dropped_actions));
-    w.i64(static_cast<std::int64_t>(stats_.offline_events));
-    w.i64(static_cast<std::int64_t>(stats_.safe_mode_entries));
-    w.i64(static_cast<std::int64_t>(stats_.watchdog_trips));
-    w.i64(stats_.safe_mode_time);
-
-    w.i64(now_);
-    w.u64(next_start_);
-    w.u64(pending_level_.size());
-    for (const PendingLevel& p : pending_level_) {
-        w.i32(p.level);
-        w.i64(p.due);
-        w.i32(p.retries_left);
-        w.i64(p.backoff);
-        w.b(p.from_fail);
-        w.b(p.active);
-    }
-    w.u64(pending_mig_.size());
-    for (const PendingMigration& p : pending_mig_) {
-        w.i32(p.task);
-        w.i32(p.core);
-        w.i64(p.due);
-        w.i32(p.retries_left);
-        w.i64(p.backoff);
-    }
-    w.i64v(offline_until_);
+    a(p.level, p.due, p.retries_left, p.backoff, p.from_fail, p.active);
 }
 
+template <class A, class S>
 void
-FaultInjector::load(snap::Reader& r)
+FaultInjector::PendingMigration::fields(A& a, S& p)
 {
-    stats_.injected = static_cast<long>(r.i64());
-    stats_.sensor_fallbacks = static_cast<long>(r.i64());
-    stats_.dvfs_deferred = static_cast<long>(r.i64());
-    stats_.dvfs_retries = static_cast<long>(r.i64());
-    stats_.migration_retries = static_cast<long>(r.i64());
-    stats_.dropped_actions = static_cast<long>(r.i64());
-    stats_.offline_events = static_cast<long>(r.i64());
-    stats_.safe_mode_entries = static_cast<long>(r.i64());
-    stats_.watchdog_trips = static_cast<long>(r.i64());
-    stats_.safe_mode_time = r.i64();
-
-    now_ = r.i64();
-    next_start_ = static_cast<std::size_t>(r.u64());
-    const std::size_t n_levels = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_levels == pending_level_.size(),
-               "snapshot mismatch: fault injector cluster count");
-    for (PendingLevel& p : pending_level_) {
-        p.level = r.i32();
-        p.due = r.i64();
-        p.retries_left = r.i32();
-        p.backoff = r.i64();
-        p.from_fail = r.b();
-        p.active = r.b();
-    }
-    pending_mig_.resize(static_cast<std::size_t>(r.u64()));
-    for (PendingMigration& p : pending_mig_) {
-        p.task = r.i32();
-        p.core = r.i32();
-        p.due = r.i64();
-        p.retries_left = r.i32();
-        p.backoff = r.i64();
-    }
-    r.i64v(&offline_until_);
+    a(p.task, p.core, p.due, p.retries_left, p.backoff);
 }
 
+template <class A, class Self>
 void
-SensorGuard::save(snap::Writer& w) const
+FaultInjector::fields(A& a, Self& self)
 {
-    w.f64v(last_good_);
-    w.i64(bound_);
-    w.i64(worst_age_);
-    w.i64(last_eval_);
-    w.b(safe_);
+    auto& s = self.stats_;
+    a(s.injected, s.sensor_fallbacks, s.dvfs_deferred, s.dvfs_retries,
+      s.migration_retries, s.dropped_actions, s.offline_events,
+      s.safe_mode_entries, s.watchdog_trips, s.safe_mode_time);
+    a(self.now_, self.next_start_);
+    a.same_size(self.pending_level_,
+                "snapshot mismatch: fault injector cluster count");
+    a(self.pending_mig_, self.offline_until_);
 }
 
+template void FaultInjector::fields(snap::Writer&, const FaultInjector&);
+template void FaultInjector::fields(snap::Reader&, FaultInjector&);
+
+template <class A, class Self>
 void
-SensorGuard::load(snap::Reader& r)
+SensorGuard::fields(A& a, Self& self)
 {
-    r.f64v(&last_good_);
-    bound_ = r.i64();
-    worst_age_ = r.i64();
-    last_eval_ = r.i64();
-    safe_ = r.b();
+    a(self.last_good_, self.bound_, self.worst_age_, self.last_eval_,
+      self.safe_);
 }
+
+template void SensorGuard::fields(snap::Writer&, const SensorGuard&);
+template void SensorGuard::fields(snap::Reader&, SensorGuard&);
 
 } // namespace ppm::fault

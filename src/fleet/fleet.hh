@@ -256,10 +256,12 @@ class Fleet
      * Fleet built from the same configuration; the restored fleet
      * continues byte-identically to the uninterrupted run.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** One evacuated (or retrying) task awaiting placement. */
     struct PendingEvac {
         long seq = 0;           ///< Global drain order (FIFO).
@@ -269,6 +271,8 @@ class Fleet
         int retries_left = 0;
         SimTime next_try = 0;   ///< Barrier time of the next attempt.
         SimTime backoff = 0;    ///< Doubles per failed attempt.
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /** What the fleet knows about a task it placed on a chip (enough
@@ -276,6 +280,8 @@ class Fleet
     struct RosterEntry {
         workload::TaskSpec spec;
         double big_speedup = 0.0;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /** Gather signals, settle, retarget budgets (chip-id order). */

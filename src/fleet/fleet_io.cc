@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot serialization of the fleet: the supervisor market, the
+ * Snapshot field lists of the fleet: the supervisor market, the
  * fault-tolerance runtime (health, clamps, pending evacuations,
  * rosters), the fleet telemetry bus, and every shard.  The fleet
  * fault plan itself is not serialized -- the restoring process
@@ -8,131 +8,56 @@
  * yields the identical schedule; only the event cursor travels.
  */
 
-#include "common/logging.hh"
 #include "fleet/fleet.hh"
 #include "snapshot/archive.hh"
 
 namespace ppm::fleet {
 
+template <class A, class Self>
 void
-SupervisorMarket::save(snap::Writer& w) const
+SupervisorMarket::fields(A& a, Self& self)
 {
-    w.f64v(budgets_);
-    w.f64v(prices_);
-    w.f64(lambda_);
-    w.i64(static_cast<std::int64_t>(epochs_));
+    a(self.budgets_, self.prices_, self.lambda_, self.epochs_);
 }
 
+template void SupervisorMarket::fields(snap::Writer&, const SupervisorMarket&);
+template void SupervisorMarket::fields(snap::Reader&, SupervisorMarket&);
+
+template <class A, class S>
 void
-SupervisorMarket::load(snap::Reader& r)
+Fleet::PendingEvac::fields(A& a, S& p)
 {
-    r.f64v(&budgets_);
-    r.f64v(&prices_);
-    lambda_ = r.f64();
-    epochs_ = static_cast<long>(r.i64());
+    a(p.seq, p.spec, p.big_speedup, p.departure, p.retries_left,
+      p.next_try, p.backoff);
 }
 
+template <class A, class S>
 void
-Fleet::save(snap::Writer& w) const
+Fleet::RosterEntry::fields(A& a, S& e)
 {
-    supervisor_.save(w);
-    w.f64v(budgets_);
-    w.i32v(placements_);
-    w.i64(now_);
-    w.i64(next_barrier_);
-    w.i64(static_cast<std::int64_t>(admitted_));
-    w.b(done_);
+    a(e.spec, e.big_speedup);
+}
+
+template <class A, class Self>
+void
+Fleet::fields(A& a, Self& self)
+{
+    a(self.supervisor_, self.budgets_, self.placements_, self.now_,
+      self.next_barrier_, self.admitted_, self.done_);
 
     // Fault-tolerance runtime.
-    w.u64(next_fleet_event_);
-    w.u8v(health_);
-    w.f64v(clamp_);
-    w.i32v(deficit_streak_);
-    w.u64(roster_.size());
-    for (const auto& chip_roster : roster_) {
-        w.u64(chip_roster.size());
-        for (const RosterEntry& e : chip_roster) {
-            workload::save_task_spec(w, e.spec);
-            w.f64(e.big_speedup);
-        }
-    }
-    w.u64(pending_evac_.size());
-    for (const PendingEvac& p : pending_evac_) {
-        w.i64(static_cast<std::int64_t>(p.seq));
-        workload::save_task_spec(w, p.spec);
-        w.f64(p.big_speedup);
-        w.i64(p.departure);
-        w.i32(p.retries_left);
-        w.i64(p.next_try);
-        w.i64(p.backoff);
-    }
-    w.i64(static_cast<std::int64_t>(evac_seq_));
-    w.i64(static_cast<std::int64_t>(chip_failures_));
-    w.i64(static_cast<std::int64_t>(chip_recoveries_));
-    w.i64(static_cast<std::int64_t>(evacuations_));
-    w.i64(static_cast<std::int64_t>(evac_landed_));
-    w.i64(static_cast<std::int64_t>(rejections_));
-    w.i64(static_cast<std::int64_t>(fleet_watchdog_trips_));
-    w.b(all_failed_seen_);
+    a(self.next_fleet_event_, self.health_, self.clamp_,
+      self.deficit_streak_);
+    a.same_size(self.roster_, "snapshot mismatch: fleet chip count differs");
+    a(self.pending_evac_, self.evac_seq_, self.chip_failures_,
+      self.chip_recoveries_, self.evacuations_, self.evac_landed_,
+      self.rejections_, self.fleet_watchdog_trips_, self.all_failed_seen_);
 
-    bus_.save(w);
-
-    w.u64(shards_.size());
-    for (const auto& shard : shards_)
-        shard->save(w);
+    a(self.bus_);
+    a.same_size(self.shards_, "snapshot mismatch: shard count differs");
 }
 
-void
-Fleet::load(snap::Reader& r)
-{
-    supervisor_.load(r);
-    r.f64v(&budgets_);
-    r.i32v(&placements_);
-    now_ = r.i64();
-    next_barrier_ = r.i64();
-    admitted_ = static_cast<long>(r.i64());
-    done_ = r.b();
-
-    next_fleet_event_ = static_cast<std::size_t>(r.u64());
-    r.u8v(&health_);
-    r.f64v(&clamp_);
-    r.i32v(&deficit_streak_);
-    const std::size_t n_rosters = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_rosters == roster_.size(),
-               "snapshot mismatch: fleet chip count differs");
-    for (auto& chip_roster : roster_) {
-        chip_roster.resize(static_cast<std::size_t>(r.u64()));
-        for (RosterEntry& e : chip_roster) {
-            e.spec = workload::load_task_spec(r);
-            e.big_speedup = r.f64();
-        }
-    }
-    pending_evac_.resize(static_cast<std::size_t>(r.u64()));
-    for (PendingEvac& p : pending_evac_) {
-        p.seq = static_cast<long>(r.i64());
-        p.spec = workload::load_task_spec(r);
-        p.big_speedup = r.f64();
-        p.departure = r.i64();
-        p.retries_left = r.i32();
-        p.next_try = r.i64();
-        p.backoff = r.i64();
-    }
-    evac_seq_ = static_cast<long>(r.i64());
-    chip_failures_ = static_cast<long>(r.i64());
-    chip_recoveries_ = static_cast<long>(r.i64());
-    evacuations_ = static_cast<long>(r.i64());
-    evac_landed_ = static_cast<long>(r.i64());
-    rejections_ = static_cast<long>(r.i64());
-    fleet_watchdog_trips_ = static_cast<long>(r.i64());
-    all_failed_seen_ = r.b();
-
-    bus_.load(r);
-
-    const std::size_t n_shards = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_shards == shards_.size(),
-               "snapshot mismatch: shard count differs");
-    for (auto& shard : shards_)
-        shard->load(r);
-}
+template void Fleet::fields(snap::Writer&, const Fleet&);
+template void Fleet::fields(snap::Reader&, Fleet&);
 
 } // namespace ppm::fleet

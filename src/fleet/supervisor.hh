@@ -144,10 +144,12 @@ class SupervisorMarket
     const SupervisorConfig& config() const { return cfg_; }
 
     /** Serialize budgets, prices, lambda and the epoch counter. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     SupervisorConfig cfg_;
     std::vector<Watts> budgets_;
     std::vector<double> prices_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot serialization of the hardware layer's dynamic state.
+ * Snapshot field lists of the hardware layer's dynamic state.
  * Topology (clusters, cores, V-F tables, thermal parameters) is never
  * serialized: the restoring process rebuilds it from the same
  * configuration and only the mutable fields are overwritten.
@@ -14,82 +14,50 @@
 
 namespace ppm::hw {
 
+template <class A, class Self>
 void
-Cluster::save(snap::Writer& w) const
+Cluster::fields(A& a, Self& self)
 {
-    w.i32(level_);
-    w.b(powered_);
+    a(self.level_, self.powered_);
 }
 
-void
-Cluster::load(snap::Reader& r)
-{
-    level_ = r.i32();
-    powered_ = r.b();
-}
+template void Cluster::fields(snap::Writer&, const Cluster&);
+template void Cluster::fields(snap::Reader&, Cluster&);
 
+template <class A, class Self>
 void
-Chip::save(snap::Writer& w) const
+Chip::fields(A& a, Self& self)
 {
-    w.u64(clusters_.size());
-    for (const Cluster& v : clusters_)
-        v.save(w);
-    w.charv(core_online_);
-}
-
-void
-Chip::load(snap::Reader& r)
-{
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n == clusters_.size(),
-               "snapshot topology mismatch: cluster count differs");
-    for (Cluster& v : clusters_)
-        v.load(r);
-    r.charv(&core_online_);
-    PPM_ASSERT(core_online_.size() == cores_.size(),
+    a.same_size(self.clusters_,
+                "snapshot topology mismatch: cluster count differs");
+    a(self.core_online_);
+    PPM_ASSERT(self.core_online_.size() == self.cores_.size(),
                "snapshot topology mismatch: core count differs");
 }
 
+template void Chip::fields(snap::Writer&, const Chip&);
+template void Chip::fields(snap::Reader&, Chip&);
+
+template <class A, class Self>
 void
-SensorBank::save(snap::Writer& w) const
+SensorBank::fields(A& a, Self& self)
 {
-    w.f64v(instantaneous_);
-    w.f64v(energy_);
-    w.f64v(energy_at_mark_);
-    w.i64v(elapsed_);
-    w.i64v(elapsed_at_mark_);
+    a(self.instantaneous_, self.energy_, self.energy_at_mark_,
+      self.elapsed_, self.elapsed_at_mark_);
 }
 
+template void SensorBank::fields(snap::Writer&, const SensorBank&);
+template void SensorBank::fields(snap::Reader&, SensorBank&);
+
+template <class A, class Self>
 void
-SensorBank::load(snap::Reader& r)
+ThermalModel::fields(A& a, Self& self)
 {
-    r.f64v(&instantaneous_);
-    r.f64v(&energy_);
-    r.f64v(&energy_at_mark_);
-    r.i64v(&elapsed_);
-    r.i64v(&elapsed_at_mark_);
+    a(self.temp_, self.peak_, self.cycle_ref_, self.rising_,
+      self.cycle_threshold_, self.cycles_);
 }
 
-void
-ThermalModel::save(snap::Writer& w) const
-{
-    w.f64v(temp_);
-    w.f64(peak_);
-    w.f64(cycle_ref_);
-    w.b(rising_);
-    w.f64(cycle_threshold_);
-    w.i64(static_cast<std::int64_t>(cycles_));
-}
-
-void
-ThermalModel::load(snap::Reader& r)
-{
-    r.f64v(&temp_);
-    peak_ = r.f64();
-    cycle_ref_ = r.f64();
-    rising_ = r.b();
-    cycle_threshold_ = r.f64();
-    cycles_ = static_cast<long>(r.i64());
-}
+template void ThermalModel::fields(snap::Writer&, const ThermalModel&);
+template void ThermalModel::fields(snap::Reader&, ThermalModel&);
 
 } // namespace ppm::hw

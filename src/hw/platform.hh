@@ -90,10 +90,12 @@ class Cluster
     Pu supply() const { return mhz(); }
 
     /** Dynamic state only (level, gating); topology is rebuilt. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     ClusterId id_;
     CoreTypeParams type_;
     VfTable vf_;
@@ -160,10 +162,12 @@ class Chip
     void set_core_online(CoreId c, bool on);
 
     /** Dynamic state only (per-cluster V-F, gating, hot-plug). */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     std::vector<Cluster> clusters_;
     std::vector<Core> cores_;
     std::vector<char> core_online_;

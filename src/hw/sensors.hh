@@ -77,10 +77,12 @@ class SensorBank
         return static_cast<int>(instantaneous_.size());
     }
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     std::vector<Watts> instantaneous_;
     std::vector<Joules> energy_;
     std::vector<Joules> energy_at_mark_;

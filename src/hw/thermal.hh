@@ -90,10 +90,12 @@ class ThermalModel
     static ThermalParams tc2_defaults();
 
     /** Dynamic state only (temperatures, peak/cycle detector). */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** Fold one step's hottest reading into peak/cycle tracking. */
     void observe_extremes(double hottest);
 

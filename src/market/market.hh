@@ -43,6 +43,8 @@ struct TaskState {
     Money bid = 0.0;           ///< b_t.
     Money allowance = 0.0;     ///< a_t.
     Money savings = 0.0;       ///< m_t.
+
+    template <class A, class S> static void fields(A& a, S& s);
 };
 
 /** Market-visible state of one core agent. */
@@ -53,6 +55,8 @@ struct CoreState {
     bool has_base = false;   ///< Base price established?
     Pu demand = 0.0;         ///< D_c: sum of task demands on the core.
     Pu supply = 0.0;         ///< S_c used in the last price discovery.
+
+    template <class A, class S> static void fields(A& a, S& s);
 };
 
 /** Per-round outcome reported by Market::round(). */
@@ -320,15 +324,19 @@ class Market
      * restart from a force-full round.  Non-owned attachments (chip,
      * DVFS port, telemetry) and round-local scratch are skipped.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     struct ClusterCtl {
         bool freeze_bids = false;        ///< Bids held this round.
         bool pending_base_reset = false; ///< Base price resets after
                                          ///< the next price discovery.
         Watts power = 0.0;               ///< Latest sensor reading.
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /**

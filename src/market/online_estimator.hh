@@ -93,16 +93,20 @@ class OnlineSpeedupEstimator
     double cost(TaskId t, hw::CoreClass cls) const;
 
     /** Serialize the learned per-task, per-class EWMA state. */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     struct PerClass {
         double cost_ewma = 0.0;  ///< PU-seconds per heartbeat.
         int samples = 0;
     };
     struct PerTask {
         std::array<PerClass, 2> cls;  ///< [kLittle, kBig].
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     static std::size_t index(hw::CoreClass cls)

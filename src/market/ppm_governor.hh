@@ -150,8 +150,8 @@ class PpmGovernor : public sim::Governor
      * state.  Requires init() + admission replay first (see
      * sim::Governor::save).
      */
-    void save(snap::Writer& w) const override;
-    void load(snap::Reader& r) override;
+    void save(snap::Writer& w) const override { fields(w, *this); }
+    void load(snap::Reader& r) override { fields(r, *this); }
 
     /**
      * Reject admissions while the chip sits in the emergency state:
@@ -183,6 +183,8 @@ class PpmGovernor : public sim::Governor
     }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** Feed demands + power, run a market round, enact nice values. */
     void bid_round(sim::Simulation& sim, SimTime now);
 
@@ -211,6 +213,8 @@ class PpmGovernor : public sim::Governor
     struct Residency {
         hw::CoreClass cls = hw::CoreClass::kLittle;
         SimTime since = 0;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
     std::vector<Residency> residency_;
 

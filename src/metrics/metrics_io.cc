@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot serialization of the metrics layer: counters/histograms by
+ * Snapshot field lists of the metrics layer: counters/histograms by
  * name, recorded series, and QoS duty cycles.
  */
 
@@ -23,122 +23,92 @@ is_snapshot_meta(std::string_view name)
 
 } // namespace
 
+template <class A, class Self>
 void
-TraceBus::save(snap::Writer& w) const
+TraceBus::fields(A& a, Self& self)
 {
-    std::uint64_t n_counters = 0;
-    for (SeriesId id = 0; id < static_cast<SeriesId>(names_.size());
-         ++id) {
-        if (id < static_cast<SeriesId>(counter_touched_.size()) &&
-            counter_touched_[static_cast<std::size_t>(id)] &&
-            !is_snapshot_meta(names_[static_cast<std::size_t>(id)]))
-            ++n_counters;
-    }
-    w.u64(n_counters);
-    for (SeriesId id = 0; id < static_cast<SeriesId>(names_.size());
-         ++id) {
-        const auto i = static_cast<std::size_t>(id);
-        if (i < counter_touched_.size() && counter_touched_[i] &&
-            !is_snapshot_meta(names_[i])) {
-            w.str(names_[i]);
-            w.i64(static_cast<std::int64_t>(counter_vals_[i]));
+    // Touched counters, then touched histograms, as a count and
+    // (name, value) pairs, minus the snapshot.* meta-series.  Loading
+    // re-interns each name, so the two processes may number their
+    // series differently.
+    const auto section = [&a, &self](auto& touched, auto& vals) {
+        if constexpr (A::loading) {
+            std::uint64_t n = 0;
+            a(n);
+            for (; n > 0; --n) {
+                std::string name;
+                a(name);
+                const SeriesId id = self.intern(name);
+                self.reserve_id(id);
+                const auto i = static_cast<std::size_t>(id);
+                a(vals[i]);
+                touched[i] = 1;
+            }
+        } else {
+            const auto kept = [&](std::size_t i) {
+                return i < touched.size() && touched[i] &&
+                       !is_snapshot_meta(self.names_[i]);
+            };
+            std::uint64_t n = 0;
+            for (std::size_t i = 0; i < self.names_.size(); ++i)
+                n += kept(i) ? 1 : 0;
+            a(n);
+            for (std::size_t i = 0; i < self.names_.size(); ++i) {
+                if (kept(i))
+                    a(self.names_[i], vals[i]);
+            }
         }
-    }
+    };
+    section(self.counter_touched_, self.counter_vals_);
+    section(self.hist_touched_, self.hist_vals_);
+}
 
-    std::uint64_t n_hists = 0;
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        if (i < hist_touched_.size() && hist_touched_[i] &&
-            !is_snapshot_meta(names_[i]))
-            ++n_hists;
-    }
-    w.u64(n_hists);
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        if (i < hist_touched_.size() && hist_touched_[i] &&
-            !is_snapshot_meta(names_[i])) {
-            w.str(names_[i]);
-            hist_vals_[i].save(w);
+template void TraceBus::fields(snap::Writer&, const TraceBus&);
+template void TraceBus::fields(snap::Reader&, TraceBus&);
+
+template <class A, class S>
+void
+Sample::fields(A& a, S& s)
+{
+    a(s.time, s.value);
+}
+
+template <class A, class Self>
+void
+TraceRecorder::fields(A& a, Self& self)
+{
+    // A count and (name, samples) pairs in name order; loading
+    // rebuilds the map from them.
+    std::uint64_t n = self.series_.size();
+    a(n);
+    if constexpr (A::loading) {
+        self.series_.clear();
+        for (; n > 0; --n) {
+            std::string name;
+            a(name);
+            a(self.series_[name]);
         }
+    } else {
+        for (const auto& [name, samples] : self.series_)
+            a(name, samples);
     }
 }
 
+template void TraceRecorder::fields(snap::Writer&, const TraceRecorder&);
+template void TraceRecorder::fields(snap::Reader&, TraceRecorder&);
+
+template <class A, class Self>
 void
-TraceBus::load(snap::Reader& r)
+QosTracker::fields(A& a, Self& self)
 {
-    const std::uint64_t n_counters = r.u64();
-    for (std::uint64_t k = 0; k < n_counters; ++k) {
-        const std::string name = r.str();
-        const long value = static_cast<long>(r.i64());
-        const SeriesId id = intern(name);
-        reserve_id(id);
-        const auto i = static_cast<std::size_t>(id);
-        counter_vals_[i] = value;
-        counter_touched_[i] = 1;
-    }
-    const std::uint64_t n_hists = r.u64();
-    for (std::uint64_t k = 0; k < n_hists; ++k) {
-        const std::string name = r.str();
-        const SeriesId id = intern(name);
-        reserve_id(id);
-        const auto i = static_cast<std::size_t>(id);
-        hist_vals_[i].load(r);
-        hist_touched_[i] = 1;
-    }
+    a.same_size(self.below_, "snapshot mismatch: QoS task count differs "
+                             "(admission replay incomplete?)");
+    for (auto& d : self.outside_)
+        a(d);
+    a(self.any_below_, self.any_outside_);
 }
 
-void
-TraceRecorder::save(snap::Writer& w) const
-{
-    w.u64(series_.size());
-    for (const auto& [name, samples] : series_) {
-        w.str(name);
-        w.u64(samples.size());
-        for (const Sample& s : samples) {
-            w.i64(s.time);
-            w.f64(s.value);
-        }
-    }
-}
-
-void
-TraceRecorder::load(snap::Reader& r)
-{
-    series_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t k = 0; k < n; ++k) {
-        const std::string name = r.str();
-        std::vector<Sample>& samples = series_[name];
-        samples.resize(r.u64());
-        for (Sample& s : samples) {
-            s.time = r.i64();
-            s.value = r.f64();
-        }
-    }
-}
-
-void
-QosTracker::save(snap::Writer& w) const
-{
-    w.u64(below_.size());
-    for (const DutyCycle& d : below_)
-        d.save(w);
-    for (const DutyCycle& d : outside_)
-        d.save(w);
-    any_below_.save(w);
-    any_outside_.save(w);
-}
-
-void
-QosTracker::load(snap::Reader& r)
-{
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    below_.resize(n);
-    outside_.resize(n);
-    for (DutyCycle& d : below_)
-        d.load(r);
-    for (DutyCycle& d : outside_)
-        d.load(r);
-    any_below_.load(r);
-    any_outside_.load(r);
-}
+template void QosTracker::fields(snap::Writer&, const QosTracker&);
+template void QosTracker::fields(snap::Reader&, QosTracker&);
 
 } // namespace ppm::metrics

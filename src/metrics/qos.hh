@@ -72,10 +72,12 @@ class QosTracker
     /** Fraction of time at least one task was outside its range. */
     double any_outside_fraction() const;
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     std::vector<DutyCycle> below_;
     std::vector<DutyCycle> outside_;
     DutyCycle any_below_;

@@ -25,6 +25,8 @@ namespace ppm::metrics {
 struct Sample {
     SimTime time;
     double value;
+
+    template <class A, class S> static void fields(A& a, S& s);
 };
 
 /** Collects named time series and renders them as CSV or summaries. */
@@ -50,10 +52,12 @@ class TraceRecorder
     /** Mean of series `name` over samples with time >= `from`. */
     double mean_after(const std::string& name, SimTime from) const;
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     std::map<std::string, std::vector<Sample>> series_;
 };
 

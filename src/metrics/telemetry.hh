@@ -300,10 +300,12 @@ class TraceBus
      * re-interns by name, so id assignment order is irrelevant.  Sinks
      * are not serialized; the restoring caller re-attaches its own.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** Grow the per-id storage to cover `id`. */
     void reserve_id(SeriesId id);
 

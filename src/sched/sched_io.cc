@@ -1,57 +1,40 @@
 /**
  * @file
- * Snapshot serialization of the scheduler's dynamic state.
+ * Snapshot field list of the scheduler's dynamic state.
  */
 
-#include "common/logging.hh"
 #include "sched/scheduler.hh"
 #include "snapshot/archive.hh"
 
 namespace ppm::sched {
 
+template <class A, class S>
 void
-Scheduler::save(snap::Writer& w) const
+Scheduler::Entry::fields(A& a, S& e)
 {
-    w.u64(entries_.size());
-    for (const Entry& e : entries_) {
-        w.i32(e.core);
-        w.i32(e.nice);
-        w.f64(e.weight);
-        w.b(e.active);
-        w.i64(e.blocked_until);
-        w.f64(e.load_ewma);
-        w.f64(e.share_ewma);
-        w.f64(e.supply_last);
-    }
-    w.f64v(core_util_);
-    w.i64(static_cast<std::int64_t>(migrations_));
+    a(e.core, e.nice, e.weight, e.active, e.blocked_until, e.load_ewma,
+      e.share_ewma, e.supply_last);
 }
 
+template <class A, class Self>
 void
-Scheduler::load(snap::Reader& r)
+Scheduler::fields(A& a, Self& self)
 {
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n == entries_.size(),
-               "snapshot mismatch: scheduler entry count differs "
-               "(admission replay incomplete?)");
-    for (Entry& e : entries_) {
-        e.core = r.i32();
-        e.nice = r.i32();
-        e.weight = r.f64();
-        e.active = r.b();
-        e.blocked_until = r.i64();
-        e.load_ewma = r.f64();
-        e.share_ewma = r.f64();
-        e.supply_last = r.f64();
-    }
-    r.f64v(&core_util_);
-    migrations_ = static_cast<long>(r.i64());
+    a.same_size(self.entries_,
+                "snapshot mismatch: scheduler entry count differs "
+                "(admission replay incomplete?)");
+    a(self.core_util_, self.migrations_);
     // Grants cached before the snapshot describe an era this process
-    // never ran; force the next begin_replay() onto the (bit-identical)
-    // miss path.
-    replay_cache_valid_ = false;
-    replay_steady_hold_ = false;
-    replay_cache_hit_ = false;
+    // never ran; force the next begin_replay() onto the
+    // (bit-identical) miss path.
+    if constexpr (A::loading) {
+        self.replay_cache_valid_ = false;
+        self.replay_steady_hold_ = false;
+        self.replay_cache_hit_ = false;
+    }
 }
+
+template void Scheduler::fields(snap::Writer&, const Scheduler&);
+template void Scheduler::fields(snap::Reader&, Scheduler&);
 
 } // namespace ppm::sched

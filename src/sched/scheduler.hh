@@ -180,10 +180,12 @@ class Scheduler
      * restored run's first begin_replay() miss recomputes the same
      * grants the uninterrupted run would have reused.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     struct Entry {
         workload::Task* task = nullptr;
         CoreId core = kInvalidId;
@@ -194,6 +196,8 @@ class Scheduler
         double load_ewma = 0.0;
         double share_ewma = 0.0;
         Pu supply_last = 0.0;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /** Cached per-task values of one tick of a quiescent interval. */

@@ -61,6 +61,8 @@ struct SimConfig {
         static constexpr SimTime kForever = 1LL << 60;
         SimTime arrival = 0;                  ///< Activation time.
         SimTime departure = kForever;         ///< Deactivation time.
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /**
@@ -293,16 +295,20 @@ class Simulation
      * state.  A run saved at time T and restored into a new process
      * continues byte-identically to the uninterrupted run.
      */
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     /** One mid-run admission, recorded for snapshot replay. */
     struct AdmittedTask {
         workload::TaskSpec spec;
         SimConfig::Lifetime life;
         double big_speedup = 0.0;
         CoreId core = kInvalidId;
+
+        template <class A, class S> static void fields(A& a, S& s);
     };
 
     /** Record per-cluster power for the elapsed tick. */

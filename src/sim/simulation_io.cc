@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot serialization of a whole Simulation.
+ * Snapshot field list of a whole Simulation.
  *
  * Restore protocol (load): the caller constructs a fresh Simulation
  * from the same CLI configuration, then load()
@@ -24,122 +24,71 @@
 
 namespace ppm::sim {
 
+template <class A, class S>
 void
-Simulation::save(snap::Writer& w) const
+SimConfig::Lifetime::fields(A& a, S& life)
 {
-    // 1. Mid-run admission log, first: load() needs it before any
-    // sized state.
-    w.u64(admit_log_.size());
-    for (const AdmittedTask& a : admit_log_) {
-        workload::save_task_spec(w, a.spec);
-        w.i64(a.life.arrival);
-        w.i64(a.life.departure);
-        w.f64(a.big_speedup);
-        w.i32(a.core);
+    a(life.arrival, life.departure);
+}
+
+template <class A, class S>
+void
+Simulation::AdmittedTask::fields(A& a, S& t)
+{
+    a(t.spec, t.life, t.big_speedup, t.core);
+}
+
+template <class A, class Self>
+void
+Simulation::fields(A& a, Self& self)
+{
+    // 1. Mid-run admission log, first: loading replays it (see the
+    // file comment) before any sized state.  admit_task() re-records
+    // each entry into admit_log_, rebuilding the log identically for
+    // a later re-save.
+    if constexpr (A::loading) {
+        std::vector<AdmittedTask> log;
+        a(log);
+        if (!self.initialized_) {
+            self.governor_->init(self);
+            self.initialized_ = true;
+        }
+        for (const AdmittedTask& t : log)
+            self.admit_task(t.spec, t.life, t.big_speedup, t.core);
+    } else {
+        a(self.admit_log_);
     }
 
     // 2. Dynamic state, leaf subsystems first.
-    chip_.save(w);
-    w.u64(owned_tasks_.size());
-    for (const auto& t : owned_tasks_)
-        t->save(w);
-    scheduler_->save(w);
-    sensors_.save(w);
-    thermal_->save(w);
-    qos_.save(w);
-    recorder_.save(w);
-    bus_.save(w);
-    w.b(injector_ != nullptr);
-    if (injector_ != nullptr)
-        injector_->save(w);
-    governor_->save(w);
-
-    // 3. Harness state.
-    w.u64(config_.lifetimes.size());
-    for (const SimConfig::Lifetime& life : config_.lifetimes) {
-        w.i64(life.arrival);
-        w.i64(life.departure);
-    }
-    w.i32v(last_levels_);
-    over_tdp_.save(w);
-    over_tdp_post_.save(w);
-    over_tdp_fault_.save(w);
-    w.i64(now_);
-    w.i64(next_trace_);
-    w.i64(static_cast<std::int64_t>(vf_transitions_));
-    w.i64(static_cast<std::int64_t>(last_migrations_));
-    w.f64(warmup_energy_);
-    w.i64(warmup_end_);
-    w.b(warmup_snapshotted_);
-}
-
-void
-Simulation::load(snap::Reader& r)
-{
-    // 1. Admission replay (see the file comment).  admit_task()
-    // re-records each entry into admit_log_, rebuilding the log
-    // identically for a later re-save.
-    std::vector<AdmittedTask> log(static_cast<std::size_t>(r.u64()));
-    for (AdmittedTask& a : log) {
-        a.spec = workload::load_task_spec(r);
-        a.life.arrival = r.i64();
-        a.life.departure = r.i64();
-        a.big_speedup = r.f64();
-        a.core = r.i32();
-    }
-    if (!initialized_) {
-        governor_->init(*this);
-        initialized_ = true;
-    }
-    for (const AdmittedTask& a : log)
-        admit_task(a.spec, a.life, a.big_speedup, a.core);
-
-    // 2. Dynamic state.
-    chip_.load(r);
-    const std::size_t n_tasks = static_cast<std::size_t>(r.u64());
-    PPM_ASSERT(n_tasks == owned_tasks_.size(),
-               "snapshot mismatch: task count (same workload?)");
-    for (auto& t : owned_tasks_)
-        t->load(r);
-    scheduler_->load(r);
-    sensors_.load(r);
-    thermal_->load(r);
-    qos_.load(r);
-    recorder_.load(r);
-    bus_.load(r);
-    const bool had_injector = r.b();
-    PPM_ASSERT(had_injector == (injector_ != nullptr),
+    a(self.chip_);
+    a.same_size(self.owned_tasks_,
+                "snapshot mismatch: task count (same workload?)");
+    a(self.scheduler_, self.sensors_, self.thermal_, self.qos_,
+      self.recorder_, self.bus_);
+    bool faulted = self.injector_ != nullptr;
+    a(faulted);
+    PPM_ASSERT(faulted == (self.injector_ != nullptr),
                "snapshot mismatch: fault plan presence differs "
                "(same --faults spec?)");
-    if (injector_ != nullptr)
-        injector_->load(r);
-    governor_->load(r);
+    if (faulted)
+        a(self.injector_);
+    a(self.governor_);
 
     // 3. Harness state.  Lifetimes may have been materialized mid-run
     // (an admission or an evacuation on a run that started with
     // implicit whole-run windows).
-    const std::size_t n_lives = static_cast<std::size_t>(r.u64());
-    if (n_lives != config_.lifetimes.size()) {
-        PPM_ASSERT(config_.lifetimes.empty() &&
-                       n_lives == owned_tasks_.size(),
-                   "snapshot mismatch: lifetime window count");
-        config_.lifetimes.assign(n_lives, SimConfig::Lifetime{});
-    }
-    for (SimConfig::Lifetime& life : config_.lifetimes) {
-        life.arrival = r.i64();
-        life.departure = r.i64();
-    }
-    r.i32v(&last_levels_);
-    over_tdp_.load(r);
-    over_tdp_post_.load(r);
-    over_tdp_fault_.load(r);
-    now_ = r.i64();
-    next_trace_ = r.i64();
-    vf_transitions_ = static_cast<long>(r.i64());
-    last_migrations_ = static_cast<long>(r.i64());
-    warmup_energy_ = r.f64();
-    warmup_end_ = r.i64();
-    warmup_snapshotted_ = r.b();
+    const bool implicit_lifetimes = self.config_.lifetimes.empty();
+    a(self.config_.lifetimes);
+    PPM_ASSERT(self.config_.lifetimes.size() == self.owned_tasks_.size() ||
+                   (implicit_lifetimes && self.config_.lifetimes.empty()),
+               "snapshot mismatch: lifetime window count");
+    a(self.last_levels_, self.over_tdp_, self.over_tdp_post_,
+      self.over_tdp_fault_, self.now_, self.next_trace_,
+      self.vf_transitions_, self.last_migrations_, self.warmup_energy_,
+      self.warmup_end_, self.warmup_snapshotted_);
 }
+
+template void Simulation::fields(snap::Writer&, const Simulation&);
+template void Simulation::fields(snap::Reader&, Simulation&);
 
 } // namespace ppm::sim

@@ -10,6 +10,9 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'P', 'M', 'S', 'N', 'A', 'P', '\0'};
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8;
+constexpr const char* kUnderrun =
+    "snapshot payload underrun: field extends past the checksummed "
+    "payload";
 
 std::uint64_t
 fnv1a(const char* data, std::size_t n)
@@ -90,62 +93,6 @@ Writer::str(const std::string& s)
     buf_.append(s);
 }
 
-void
-Writer::f64v(const std::vector<double>& v)
-{
-    u64(v.size());
-    for (double x : v)
-        f64(x);
-}
-
-void
-Writer::i64v(const std::vector<std::int64_t>& v)
-{
-    u64(v.size());
-    for (std::int64_t x : v)
-        i64(x);
-}
-
-void
-Writer::longv(const std::vector<long>& v)
-{
-    u64(v.size());
-    for (long x : v)
-        i64(static_cast<std::int64_t>(x));
-}
-
-void
-Writer::i32v(const std::vector<int>& v)
-{
-    u64(v.size());
-    for (int x : v)
-        i32(x);
-}
-
-void
-Writer::u8v(const std::vector<unsigned char>& v)
-{
-    u64(v.size());
-    for (unsigned char x : v)
-        u8(x);
-}
-
-void
-Writer::charv(const std::vector<char>& v)
-{
-    u64(v.size());
-    for (char x : v)
-        u8(static_cast<std::uint8_t>(x));
-}
-
-void
-Writer::boolv(const std::vector<bool>& v)
-{
-    u64(v.size());
-    for (bool x : v)
-        b(x);
-}
-
 std::string
 Writer::finalize() const
 {
@@ -184,12 +131,25 @@ Reader::open(const std::string& file_bytes)
 const char*
 Reader::take(std::size_t n)
 {
-    PPM_ASSERT(pos_ + n <= data_.size(),
-               "snapshot payload underrun: field extends past the "
-               "checksummed payload");
+    PPM_ASSERT(n <= remaining(), kUnderrun);
     const char* p = data_.data() + pos_;
     pos_ += n;
     return p;
+}
+
+std::size_t
+Reader::length(std::size_t min_bytes)
+{
+    const std::uint64_t n = u64();
+    PPM_ASSERT(n <= remaining() / min_bytes, kUnderrun);
+    return static_cast<std::size_t>(n);
+}
+
+void
+Reader::expect_size(std::size_t n, const char* what)
+{
+    const std::uint64_t archived = u64();
+    PPM_ASSERT(archived == n, what);
 }
 
 std::uint8_t
@@ -213,65 +173,8 @@ Reader::u64()
 std::string
 Reader::str()
 {
-    const std::uint64_t n = u64();
-    const char* p = take(n);
-    return std::string(p, n);
-}
-
-void
-Reader::f64v(std::vector<double>* v)
-{
-    v->resize(u64());
-    for (double& x : *v)
-        x = f64();
-}
-
-void
-Reader::i64v(std::vector<std::int64_t>* v)
-{
-    v->resize(u64());
-    for (std::int64_t& x : *v)
-        x = i64();
-}
-
-void
-Reader::longv(std::vector<long>* v)
-{
-    v->resize(u64());
-    for (long& x : *v)
-        x = static_cast<long>(i64());
-}
-
-void
-Reader::i32v(std::vector<int>* v)
-{
-    v->resize(u64());
-    for (int& x : *v)
-        x = i32();
-}
-
-void
-Reader::u8v(std::vector<unsigned char>* v)
-{
-    v->resize(u64());
-    for (unsigned char& x : *v)
-        x = u8();
-}
-
-void
-Reader::charv(std::vector<char>* v)
-{
-    v->resize(u64());
-    for (char& x : *v)
-        x = static_cast<char>(u8());
-}
-
-void
-Reader::boolv(std::vector<bool>* v)
-{
-    v->resize(u64());
-    for (std::size_t i = 0; i < v->size(); ++i)
-        (*v)[i] = b();
+    const std::size_t n = length(1);
+    return std::string(take(n), n);
 }
 
 bool

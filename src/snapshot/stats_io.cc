@@ -1,85 +1,58 @@
 /**
  * @file
- * save/load for the common statistics primitives.  Lives in the
- * snapshot library (not ppm_common) so the common library keeps zero
- * dependency on the archive code.
+ * Snapshot field lists of the common statistics primitives.  Lives in
+ * the snapshot library (not ppm_common) so the common library keeps
+ * zero dependency on the archive code.
  */
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "snapshot/archive.hh"
 
 namespace ppm {
 
+template <class A, class Self>
 void
-OnlineStats::save(snap::Writer& w) const
+OnlineStats::fields(A& a, Self& self)
 {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
-    w.f64(sum_);
+    a(self.n_, self.mean_, self.m2_, self.min_, self.max_, self.sum_);
 }
 
+template void OnlineStats::fields(snap::Writer&, const OnlineStats&);
+template void OnlineStats::fields(snap::Reader&, OnlineStats&);
+
+template <class A, class Self>
 void
-OnlineStats::load(snap::Reader& r)
+DutyCycle::fields(A& a, Self& self)
 {
-    n_ = static_cast<std::size_t>(r.u64());
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-    sum_ = r.f64();
+    a(self.total_, self.true_);
 }
 
-void
-DutyCycle::save(snap::Writer& w) const
-{
-    w.i64(total_);
-    w.i64(true_);
-}
+template void DutyCycle::fields(snap::Writer&, const DutyCycle&);
+template void DutyCycle::fields(snap::Reader&, DutyCycle&);
 
+template <class A, class Self>
 void
-DutyCycle::load(snap::Reader& r)
+WindowRate::fields(A& a, Self& self)
 {
-    total_ = r.i64();
-    true_ = r.i64();
-}
-
-void
-WindowRate::save(snap::Writer& w) const
-{
-    w.i64(window_);
-    w.u64(ring_.size());
-    w.u64(runs_);
-    for (std::size_t i = 0; i < runs_; ++i) {
-        const Run& run = ring_[(head_ + i) & (ring_.size() - 1)];
-        w.i64(run.first);
-        w.i64(run.stride);
-        w.i64(static_cast<std::int64_t>(run.n));
-        w.f64(run.count);
+    std::size_t capacity = self.ring_.size();
+    a(self.window_, capacity, self.runs_);
+    PPM_ASSERT(self.runs_ <= capacity,
+               "snapshot mismatch: more window runs than ring slots");
+    // The live runs travel in FIFO order, not ring order: loading
+    // re-linearises them from head 0 of a ring of the saved capacity.
+    if constexpr (A::loading) {
+        self.ring_.assign(capacity, Run{});
+        self.head_ = 0;
     }
-    w.i64(static_cast<std::int64_t>(count_));
-    w.f64(window_sum_);
+    for (std::size_t i = 0; i < self.runs_; ++i) {
+        auto& run = self.ring_[(self.head_ + i) & (capacity - 1)];
+        a(run.first, run.stride, run.n, run.count);
+    }
+    a(self.count_, self.window_sum_);
 }
 
-void
-WindowRate::load(snap::Reader& r)
-{
-    window_ = r.i64();
-    const std::size_t capacity = static_cast<std::size_t>(r.u64());
-    runs_ = static_cast<std::size_t>(r.u64());
-    ring_.assign(capacity, Run{});
-    head_ = 0;
-    for (std::size_t i = 0; i < runs_; ++i) {
-        Run& run = ring_[i];
-        run.first = r.i64();
-        run.stride = r.i64();
-        run.n = static_cast<long>(r.i64());
-        run.count = r.f64();
-    }
-    count_ = static_cast<long>(r.i64());
-    window_sum_ = r.f64();
-}
+template void WindowRate::fields(snap::Writer&, const WindowRate&);
+template void WindowRate::fields(snap::Reader&, WindowRate&);
 
 } // namespace ppm

@@ -93,10 +93,12 @@ class HeartRateMonitor
      */
     void advance_steady(SimTime shift);
 
-    void save(snap::Writer& w) const;
-    void load(snap::Reader& r);
+    void save(snap::Writer& w) const { fields(w, *this); }
+    void load(snap::Reader& r) { fields(r, *this); }
 
   private:
+    template <class A, class Self> static void fields(A& a, Self& self);
+
     double min_hr_;
     double max_hr_;
     WindowRate beats_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Snapshot serialization of tasks and their heart-rate monitors.
+ * Snapshot field lists of tasks, their specs and their heart-rate
+ * monitors.
  */
 
 #include "snapshot/archive.hh"
@@ -9,72 +10,43 @@
 
 namespace ppm::workload {
 
+template <class A, class Self>
 void
-HeartRateMonitor::save(snap::Writer& w) const
+HeartRateMonitor::fields(A& a, Self& self)
 {
-    beats_.save(w);
-    supply_.save(w);
+    a(self.beats_, self.supply_);
 }
 
+template void HeartRateMonitor::fields(snap::Writer&, const HeartRateMonitor&);
+template void HeartRateMonitor::fields(snap::Reader&, HeartRateMonitor&);
+
+template <class A, class S>
 void
-HeartRateMonitor::load(snap::Reader& r)
+Phase::fields(A& a, S& p)
 {
-    beats_.load(r);
-    supply_.load(r);
+    a(p.duration, p.work_per_hb_little, p.work_per_hb_big);
 }
 
+template <class A, class S>
 void
-save_task_spec(snap::Writer& w, const TaskSpec& spec)
+TaskSpec::fields(A& a, S& spec)
 {
-    w.str(spec.name);
-    w.i32(spec.priority);
-    w.f64(spec.min_hr);
-    w.f64(spec.max_hr);
-    w.u64(spec.phases.size());
-    for (const Phase& p : spec.phases) {
-        w.i64(p.duration);
-        w.f64(p.work_per_hb_little);
-        w.f64(p.work_per_hb_big);
-    }
-    w.f64(spec.self_pace_hr);
+    a(spec.name, spec.priority, spec.min_hr, spec.max_hr, spec.phases,
+      spec.self_pace_hr);
 }
 
-TaskSpec
-load_task_spec(snap::Reader& r)
+template void TaskSpec::fields(snap::Writer&, const TaskSpec&);
+template void TaskSpec::fields(snap::Reader&, TaskSpec&);
+
+template <class A, class Self>
+void
+Task::fields(A& a, Self& self)
 {
-    TaskSpec spec;
-    spec.name = r.str();
-    spec.priority = r.i32();
-    spec.min_hr = r.f64();
-    spec.max_hr = r.f64();
-    spec.phases.resize(r.u64());
-    for (Phase& p : spec.phases) {
-        p.duration = r.i64();
-        p.work_per_hb_little = r.f64();
-        p.work_per_hb_big = r.f64();
-    }
-    spec.self_pace_hr = r.f64();
-    return spec;
+    a(self.hrm_, self.phase_idx_, self.time_in_phase_, self.total_hb_,
+      self.total_cycles_);
 }
 
-void
-Task::save(snap::Writer& w) const
-{
-    hrm_.save(w);
-    w.i32(phase_idx_);
-    w.i64(time_in_phase_);
-    w.f64(total_hb_);
-    w.f64(total_cycles_);
-}
-
-void
-Task::load(snap::Reader& r)
-{
-    hrm_.load(r);
-    phase_idx_ = r.i32();
-    time_in_phase_ = r.i64();
-    total_hb_ = r.f64();
-    total_cycles_ = r.f64();
-}
+template void Task::fields(snap::Writer&, const Task&);
+template void Task::fields(snap::Reader&, Task&);
 
 } // namespace ppm::workload

@@ -15,11 +15,15 @@
  *
  * The archive golden (tests/golden/snapshot_archive.txt) pins the
  * snapshot format the same way: the size and FNV-1a-64 of the PPM,
- * HPM and HL archives of this scenario saved at 3.5 s, and of a 4-chip
- * PPM fleet of it saved at the first barrier at or after 3.5 s.  The
- * kill-and-resume tests only prove that save and load agree inside
- * one build; this one notices a save that writes different bytes than
- * earlier builds did, which would strand every archive on disk.
+ * HPM and HL archives of this scenario saved at 3.5 s, of a 4-chip
+ * PPM fleet of it saved at the first barrier at or after 3.5 s, of a
+ * faulted PPM run with the online speedup estimator, and of a
+ * chip-faulted 4-chip fleet (which between them reach the fault
+ * injector, the sensor guard, the estimator and the fleet's fault
+ * runtime).  The kill-and-resume tests only prove that save and load
+ * agree inside one build; this one notices a save that writes
+ * different bytes than earlier builds did, which would strand every
+ * archive on disk.
  *
  * Regenerate (only when an *intentional* output change lands) with:
  *   PPM_REGEN_GOLDEN=1 ./build/tests/test_integration \
@@ -38,6 +42,7 @@
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
+#include "fault/fault.hh"
 #include "fleet/fleet.hh"
 #include "hw/platform.hh"
 #include "market/ppm_governor.hh"
@@ -45,6 +50,8 @@
 #include "sim/simulation.hh"
 #include "snapshot/archive.hh"
 #include "tests/test_util.hh"
+#include "workload/benchmarks.hh"
+#include "workload/sets.hh"
 
 #ifndef PPM_GOLDEN_DIR
 #define PPM_GOLDEN_DIR "tests/golden"
@@ -278,6 +285,8 @@ archive_line(const std::string& name, const snap::Writer& w)
 }
 
 constexpr SimTime kArchiveAt = 3500 * kMillisecond;
+constexpr SimTime kFaultedAt = 4050 * kMillisecond;
+constexpr SimTime kFaultedFleetAt = 2976 * kMillisecond;
 
 std::string
 simulation_archive(const std::string& policy)
@@ -323,12 +332,104 @@ fleet_archive()
     return archive_line("fleet4", w);
 }
 
+/**
+ * PPM with the online speedup estimator on the `m2` set (whose tasks
+ * LBT migrates; the three-task scenario above never migrates) under a
+ * per-chip fault plan with sensor, DVFS and migration faults, saved
+ * while a failed migration waits in the injector's retry queue: the
+ * fault injector, the sensor guard and the estimator all reach the
+ * archive.
+ */
+std::string
+faulted_online_archive(SimTime at)
+{
+    const workload::WorkloadSet& set = workload::workload_set("m2");
+    market::PpmGovernorConfig gov;
+    gov.market.w_tdp = 4.0;
+    gov.market.w_th = market::derive_w_th(4.0);
+    gov.online_speedup = true;
+    for (const auto& member : set.members) {
+        gov.big_speedup.push_back(
+            workload::profile(member.bench, member.input).big_speedup);
+    }
+    sim::SimConfig cfg;
+    cfg.duration = 10 * kSecond;
+    cfg.trace = true;
+    cfg.tdp_for_metrics = 4.0;
+    fault::FaultSpec spec;
+    spec.seed = 7;
+    spec.sensor = true;
+    spec.dvfs = true;
+    spec.migration = true;
+    spec.rate_per_min = 60.0;
+    const hw::Chip chip = hw::tc2_chip();
+    cfg.faults = fault::FaultPlan::compile(spec, chip.num_clusters(),
+                                           chip.num_cores(), cfg.duration,
+                                           cfg.tick);
+    sim::Simulation sim(hw::tc2_chip(),
+                        workload::instantiate(set, 1, 1,
+                                              cfg.duration + 100 * kSecond),
+                        std::make_unique<market::PpmGovernor>(gov), cfg);
+    sim.run_until(at);
+    snap::Writer w;
+    sim.save(w);
+    return archive_line("PPM-m2-online-faults", w);
+}
+
+/**
+ * The chip-faulted 4-chip fleet of the kill-and-resume tests
+ * (SnapshotRestore.FaultedFleetBitExactAcrossSnapshot), saved at the
+ * first barrier at or after `at`: health, rosters, clamps and the
+ * pending-evacuation queue reach the archive.
+ */
+std::string
+faulted_fleet_archive(SimTime at)
+{
+    constexpr int kChips = 4;
+    fleet::FleetConfig fc;
+    fc.chips = kChips;
+    fc.epoch = 96 * kMillisecond;
+    fc.supervisor.total_budget = 3.5 * kChips;
+    fc.sim.duration = 5 * kSecond;
+    fc.sim.warmup = kSecond;
+    fc.sim.tdp_for_metrics = 3.5;
+    fc.make_chip = [](int) { return hw::tc2_chip(); };
+    fc.make_governor =
+        [](int, Watts budget) -> std::unique_ptr<sim::Governor> {
+        market::PpmGovernorConfig cfg;
+        cfg.market.w_tdp = budget;
+        cfg.market.w_th = market::derive_w_th(budget);
+        cfg.big_speedup = {1.7, 1.5, 1.6};
+        return std::make_unique<market::PpmGovernor>(cfg);
+    };
+    for (int c = 0; c < kChips; ++c) {
+        fleet::ChipWorkload wl;
+        wl.specs = scenario_specs();
+        fc.workloads.push_back(std::move(wl));
+    }
+    fault::FaultSpec spec;
+    spec.seed = 99;
+    spec.chip_fail = true;
+    spec.chip_recover = true;
+    spec.chip_rate_per_min = 30.0;
+    fc.fleet_faults = fault::FleetFaultPlan::compile(
+        spec, kChips, fc.sim.duration, fc.epoch);
+    fleet::Fleet f(std::move(fc));
+    while (f.now() < at && f.run_epoch()) {
+    }
+    snap::Writer w;
+    f.save(w);
+    return archive_line("fleet4-chip-faults", w);
+}
+
 TEST(ArchiveGolden, SnapshotBytesMatchRecordedFormat)
 {
     std::string actual;
     for (const char* policy : {"PPM", "HPM", "HL"})
         actual += simulation_archive(policy);
     actual += fleet_archive();
+    actual += faulted_online_archive(kFaultedAt);
+    actual += faulted_fleet_archive(kFaultedFleetAt);
     expect_golden(std::string(PPM_GOLDEN_DIR) + "/snapshot_archive.txt",
                   actual,
                   "snapshot archive bytes changed -- archives written by "

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -67,57 +68,83 @@ fingerprint(const sim::RunSummary& s)
 // ---------------------------------------------------------------
 // Archive primitives.
 
+enum class Mode { kOff = -3, kOn = 5 };
+
 TEST(Archive, PrimitivesRoundTrip)
 {
-    snap::Writer w;
-    w.u8(0xab);
-    w.b(true);
-    w.b(false);
-    w.u32(0xdeadbeefu);
-    w.u64(0x0123456789abcdefULL);
-    w.i64(-42);
-    w.i32(-7);
-    w.f64(3.141592653589793);
-    w.f64(-0.0);
-    w.f64(std::numeric_limits<double>::quiet_NaN());
-    w.str("hello snapshot");
-    w.f64v({1.5, -2.5, 0.0});
-    w.longv({-1, 0, 1LL << 40});
-    w.i32v({3, -4});
-    w.u8v({0, 255, 17});
-    w.boolv({true, false, true});
+    // Every field type the field lists use, through the one generic
+    // field operation on each side.
+    const std::uint8_t u8 = 0xab;
+    const bool yes = true;
+    const bool no = false;
+    const std::uint32_t u32 = 0xdeadbeefu;
+    const std::uint64_t u64 = 0x0123456789abcdefULL;
+    const std::int64_t i64 = -42;
+    const std::int32_t i32 = -7;
+    const double pi = 3.141592653589793;
+    const double neg_zero = -0.0;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::string str = "hello snapshot";
+    const Mode mode = Mode::kOff;
+    const std::vector<double> dv{1.5, -2.5, 0.0};
+    const std::vector<long> lv{-1, 0, 1L << 40};
+    const std::vector<int> iv{3, -4};
+    const std::vector<unsigned char> uv{0, 255, 17};
+    const std::vector<bool> bv{true, false, true};
+    const std::vector<char> cv{'a', '\0', static_cast<char>(-1)};
 
+    snap::Writer w;
+    w(u8, yes, no, u32, u64, i64, i32, pi, neg_zero, nan, str, mode, dv,
+      lv, iv, uv, bv, cv);
+    // Fixed widths: 1+1+1+4+8+8+4+3*8 scalars, a length-prefixed
+    // string, an i32 enum, and six length-prefixed vectors.
+    EXPECT_EQ(w.size(), 51u + (8 + 14) + 4 + (8 + 24) + (8 + 24) +
+                            (8 + 8) + 3 * (8 + 3));
+
+    std::uint8_t u8_in = 0;
+    bool yes_in = false;
+    bool no_in = true;
+    std::uint32_t u32_in = 0;
+    std::uint64_t u64_in = 0;
+    std::int64_t i64_in = 0;
+    std::int32_t i32_in = 0;
+    double pi_in = 0.0;
+    double neg_zero_in = 0.0;
+    double nan_in = 0.0;
+    std::string str_in;
+    Mode mode_in = Mode::kOn;
+    std::vector<double> dv_in;
+    std::vector<long> lv_in;
+    std::vector<int> iv_in;
+    std::vector<unsigned char> uv_in;
+    std::vector<bool> bv_in;
+    std::vector<char> cv_in;
     snap::Reader r;
     ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
-    EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_TRUE(r.b());
-    EXPECT_FALSE(r.b());
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-    EXPECT_EQ(r.i64(), -42);
-    EXPECT_EQ(r.i32(), -7);
-    EXPECT_EQ(r.f64(), 3.141592653589793);
-    const double neg_zero = r.f64();
-    EXPECT_EQ(neg_zero, 0.0);
-    EXPECT_TRUE(std::signbit(neg_zero));
-    EXPECT_TRUE(std::isnan(r.f64()));
-    EXPECT_EQ(r.str(), "hello snapshot");
-    std::vector<double> dv;
-    r.f64v(&dv);
-    EXPECT_EQ(dv, (std::vector<double>{1.5, -2.5, 0.0}));
-    std::vector<long> lv;
-    r.longv(&lv);
-    EXPECT_EQ(lv, (std::vector<long>{-1, 0, 1LL << 40}));
-    std::vector<int> iv;
-    r.i32v(&iv);
-    EXPECT_EQ(iv, (std::vector<int>{3, -4}));
-    std::vector<unsigned char> uv;
-    r.u8v(&uv);
-    EXPECT_EQ(uv, (std::vector<unsigned char>{0, 255, 17}));
-    std::vector<bool> bv;
-    r.boolv(&bv);
-    EXPECT_EQ(bv, (std::vector<bool>{true, false, true}));
+    r(u8_in, yes_in, no_in, u32_in, u64_in, i64_in, i32_in, pi_in,
+      neg_zero_in, nan_in, str_in, mode_in, dv_in, lv_in, iv_in, uv_in,
+      bv_in, cv_in);
     EXPECT_EQ(r.remaining(), 0u);
+
+    EXPECT_EQ(u8_in, 0xab);
+    EXPECT_TRUE(yes_in);
+    EXPECT_FALSE(no_in);
+    EXPECT_EQ(u32_in, 0xdeadbeefu);
+    EXPECT_EQ(u64_in, 0x0123456789abcdefULL);
+    EXPECT_EQ(i64_in, -42);
+    EXPECT_EQ(i32_in, -7);
+    EXPECT_EQ(pi_in, 3.141592653589793);
+    EXPECT_EQ(neg_zero_in, 0.0);
+    EXPECT_TRUE(std::signbit(neg_zero_in));
+    EXPECT_TRUE(std::isnan(nan_in));
+    EXPECT_EQ(str_in, "hello snapshot");
+    EXPECT_EQ(mode_in, Mode::kOff);
+    EXPECT_EQ(dv_in, (std::vector<double>{1.5, -2.5, 0.0}));
+    EXPECT_EQ(lv_in, (std::vector<long>{-1, 0, 1L << 40}));
+    EXPECT_EQ(iv_in, (std::vector<int>{3, -4}));
+    EXPECT_EQ(uv_in, (std::vector<unsigned char>{0, 255, 17}));
+    EXPECT_EQ(bv_in, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(cv_in, (std::vector<char>{'a', '\0', static_cast<char>(-1)}));
 }
 
 TEST(Archive, CorruptionTaxonomy)
@@ -172,6 +199,33 @@ TEST(Archive, ReadFileMissingIsTruncated)
     snap::Reader r;
     EXPECT_EQ(snap::read_file("/nonexistent/p.ppmsnap", &r),
               snap::LoadStatus::kTruncated);
+}
+
+/**
+ * A checksum-valid payload can still declare a length far past its
+ * own end.  The length is checked against the bytes left before any
+ * allocation, so a wrapped pointer sum or a huge resize never
+ * happens.
+ */
+TEST(Archive, HugeStringLengthIsAnUnderrun)
+{
+    snap::Writer w;
+    w.u64(~std::uint64_t{0} - 3);  // 2^64 - 4
+    snap::Reader r;
+    ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
+    std::string s;
+    EXPECT_DEATH(r(s), "payload underrun");
+}
+
+TEST(Archive, HugeVectorLengthIsAnUnderrun)
+{
+    snap::Writer w;
+    w.u64(std::uint64_t{1} << 62);
+    w.f64(1.0);
+    snap::Reader r;
+    ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
+    std::vector<double> v;
+    EXPECT_DEATH(r(v), "payload underrun");
 }
 
 // ---------------------------------------------------------------
@@ -249,10 +303,17 @@ expect_split_matches(const std::string& policy, sim::SimConfig cfg,
     sim::Simulation second(hw::tc2_chip(), specs(),
                            make_policy(policy, online), cfg);
     second.bus().add_sink(&sink2);
+    const std::string archive = w.finalize();
     snap::Reader r;
-    ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
+    ASSERT_EQ(r.open(archive), snap::LoadStatus::kOk);
     second.load(r);
     ASSERT_EQ(r.remaining(), 0u);
+    // load() consumed exactly what save() wrote, in order: re-saving
+    // the restored state reproduces the archive byte for byte.
+    snap::Writer again;
+    second.save(again);
+    ASSERT_EQ(again.finalize(), archive)
+        << policy << " re-save after load differs at " << at;
     second.run_until(cfg.duration);
     const sim::RunSummary split_summary = second.finish();
 
@@ -431,10 +492,15 @@ expect_fleet_split_matches(int chips, bool chip_faults, SimTime at)
     fleet::Fleet second(fleet_config(chips, chip_faults));
     second.bus().add_sink(&fleet_sink2);
     second.shard(0).bus().add_sink(&chip_sink2);
+    const std::string archive = w.finalize();
     snap::Reader r;
-    ASSERT_EQ(r.open(w.finalize()), snap::LoadStatus::kOk);
+    ASSERT_EQ(r.open(archive), snap::LoadStatus::kOk);
     second.load(r);
     ASSERT_EQ(r.remaining(), 0u);
+    snap::Writer again;
+    second.save(again);
+    ASSERT_EQ(again.finalize(), archive)
+        << "fleet re-save after load differs at " << at;
     const fleet::FleetResult split_res = second.run();
 
     EXPECT_EQ(fingerprint(split_res.combined),
