@@ -27,7 +27,6 @@ using experiment::make_governor;
 using experiment::run_cells;
 using experiment::run_set;
 using experiment::run_set_avg;
-using experiment::run_specs;
 using experiment::run_sweep;
 
 /**

@@ -100,6 +100,15 @@ cmp /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_full.csv
 rm -f /tmp/ppm_plain.csv /tmp/ppm_fleet1.csv \
     /tmp/ppm_fleet_j1.csv /tmp/ppm_fleet_j4.csv /tmp/ppm_fleet_full.csv
 
+# Seed-mean smoke: seeds run on any number of workers but reduce in
+# seed order, so the averaged summary must not depend on --jobs.
+./build/tools/ppm_run --set l1 --seconds 8 --csv --avg-seeds 3 \
+    --jobs 1 > /tmp/ppm_seeds_j1.csv
+./build/tools/ppm_run --set l1 --seconds 8 --csv --avg-seeds 3 \
+    --jobs 4 > /tmp/ppm_seeds_j4.csv
+cmp /tmp/ppm_seeds_j1.csv /tmp/ppm_seeds_j4.csv
+rm -f /tmp/ppm_seeds_j1.csv /tmp/ppm_seeds_j4.csv
+
 # Kill-and-resume smokes: a run saved at a snapshot point and resumed
 # in a fresh process must print byte-identical summaries to the
 # uninterrupted run -- single-chip, federated, and federated under

@@ -93,17 +93,24 @@ make_governor(const std::string& policy, Watts tdp,
               bool online_speedup = false, int = 1,
               ThreadPool* = nullptr, bool incremental = true);
 
+/**
+ * Each member's big-cluster speedup, in member order: the input of
+ * PPM's cross-core-type demand estimator for `set`.
+ */
+std::vector<double> set_speedups(const workload::WorkloadSet& set);
+
+/**
+ * The simulation run_set() runs: `set` instantiated with
+ * `params.seed` on a fresh TC2-like chip under `params.policy`, with
+ * every other RunParams knob applied and `params.extra_sink` attached.
+ * For callers that drive the run themselves (snapshots).
+ */
+std::unique_ptr<sim::Simulation>
+make_simulation(const workload::WorkloadSet& set, const RunParams& params);
+
 /** Run one of the paper's Table 6 sets on a fresh TC2-like chip. */
 RunResult run_set(const workload::WorkloadSet& set,
                   const RunParams& params);
-
-/**
- * Run explicit task specs on a fresh TC2-like chip; `big_speedups`
- * feeds PPM's demand estimator (empty = defaults).
- */
-RunResult run_specs(const std::vector<workload::TaskSpec>& specs,
-                    const std::vector<double>& big_speedups,
-                    const RunParams& params);
 
 /**
  * Seed of cell `index` on a multi-seed axis with base seed `base` and
@@ -118,21 +125,15 @@ std::uint64_t cell_seed(std::uint64_t base, std::uint64_t stride,
                         int index);
 
 /**
- * Reduce per-seed summaries into one cross-seed summary.  Aggregation
- * semantics, per field:
- *  - mean: any_below_miss, any_outside_miss, avg_power,
- *    avg_power_post_warmup, energy, over_tdp_fraction,
- *    over_tdp_post_warmup;
- *  - elementwise mean: task_below, task_outside (all inputs must have
- *    the same task count);
- *  - max: peak_temp_c (the thermal envelope is set by the worst seed);
- *  - sum-then-divide (rounded to long): migrations, vf_transitions,
- *    thermal_cycles.
- * The governor name is taken from the first summary.  panic()s on an
- * empty input or mismatched task counts.
+ * Reduce per-seed summaries into one cross-seed summary: each field
+ * combines by its RunSummary::fields kind (sim::Combine) -- rates and
+ * totals are seed means (a long total is summed, divided and
+ * truncated), peaks the max over seeds, task vectors element-wise
+ * means, and the label the first seed's.  Defined beside the fleet's
+ * chip combine in sim/summary.cc.  panic()s on an empty input or
+ * mismatched task counts.
  */
-sim::RunSummary
-aggregate_summaries(const std::vector<sim::RunSummary>& summaries);
+using sim::aggregate_summaries;
 
 /**
  * Run `set` `n_seeds` times (seed i = cell_seed(params.seed, 100, i))

@@ -153,13 +153,13 @@ struct FleetConfig {
 /** Aggregate outcome of a fleet run. */
 struct FleetResult {
     /**
-     * Fleet-level summary.  For a 1-chip fleet this is chip 0's
-     * RunSummary verbatim; otherwise: QoS/over-TDP fractions are
-     * unweighted means over chips (every chip's duration is the
-     * same), energy/migrations/V-F transitions/fault counters are
-     * sums, average powers are sums (the fleet draws the sum of its
-     * chips), peak temperature is the max, and the per-task vectors
-     * concatenate in chip order.
+     * Fleet-level summary, sim::combine_chip_summaries(per_chip): for
+     * a 1-chip fleet chip 0's RunSummary verbatim; otherwise every
+     * field combines over chips by its sim::Combine kind -- rates are
+     * unweighted chip means (every chip's duration is the same),
+     * totals (energy, average powers, counters) are sums, peak
+     * temperature is the max, and the per-task vectors concatenate
+     * in chip order.
      */
     sim::RunSummary combined;
 

@@ -7,11 +7,9 @@
 
 #include "common/logging.hh"
 
-#include "baselines/hl_governor.hh"
-#include "baselines/hpm_governor.hh"
+#include "experiment/experiment.hh"
 #include "fleet/fleet.hh"
 #include "hw/power_model.hh"
-#include "market/ppm_governor.hh"
 #include "metrics/telemetry.hh"
 #include "snapshot/archive.hh"
 
@@ -131,24 +129,9 @@ std::unique_ptr<sim::Governor>
 make_policy(const Scenario& sc, const std::string& policy,
             bool incremental)
 {
-    const Watts tdp = sc.tdp > 0.0 ? sc.tdp : 1e9;
-    if (policy == "PPM") {
-        market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = tdp;
-        cfg.market.w_th = market::derive_w_th(tdp);
-        cfg.market.incremental = incremental;
-        cfg.big_speedup = big_speedups(sc);
-        cfg.online_speedup = sc.online_speedup;
-        return std::make_unique<market::PpmGovernor>(cfg);
-    }
-    if (policy == "HPM") {
-        baselines::HpmConfig cfg;
-        cfg.tdp = tdp;
-        return std::make_unique<baselines::HpmGovernor>(cfg);
-    }
-    baselines::HlConfig cfg;
-    cfg.tdp = tdp;
-    return std::make_unique<baselines::HlGovernor>(cfg);
+    return experiment::make_governor(
+        policy, sc.tdp > 0.0 ? sc.tdp : 1e9, big_speedups(sc),
+        sc.online_speedup, 1, nullptr, incremental);
 }
 
 sim::SimConfig
@@ -181,12 +164,32 @@ struct RunOutput {
     std::size_t plan_events = 0;  ///< Compiled fault windows.
 };
 
+/** Load the in-memory archive `w` into `target`, which must accept it. */
+template <class T>
+void
+load_snapshot(T& target, const snap::Writer& w)
+{
+    snap::Reader r;
+    const snap::LoadStatus st = r.open(w.finalize());
+    PPM_ASSERT(st == snap::LoadStatus::kOk,
+               "in-memory snapshot failed validation");
+    target.load(r);
+    PPM_ASSERT(r.remaining() == 0, "snapshot has trailing bytes after load");
+}
+
+/**
+ * One execution of the scenario under `policy`.  With `kill_at` > 0
+ * the run is killed there, snapshotted through the real archive bytes
+ * (header, checksum and all) and restored into a freshly constructed
+ * simulation that runs to the end: the telemetry of both halves
+ * concatenates and the summary comes from the restored one.
+ */
 RunOutput
 run_once(const Scenario& sc, const std::string& policy,
-         bool macro_step, bool incremental)
+         bool macro_step, bool incremental, SimTime kill_at = 0)
 {
-    hw::Chip chip = make_chip(sc);
-    const sim::SimConfig cfg = make_sim_config(sc, chip, macro_step);
+    const sim::SimConfig cfg =
+        make_sim_config(sc, make_chip(sc), macro_step);
     RunOutput out;
     out.plan_events = cfg.faults.events().size();
 
@@ -194,18 +197,30 @@ run_once(const Scenario& sc, const std::string& policy,
     metrics::JsonlSink jsonl(jsonl_os);
     const bool stable_agents = lifetimes(sc).empty();
     MarketAuditSink audit(stable_agents);
-
-    sim::Simulation simulation(
-        std::move(chip), make_specs(sc),
-        make_policy(sc, policy, incremental), cfg);
-    simulation.bus().add_sink(&jsonl);
-    if (policy == "PPM")
-        simulation.bus().add_sink(&audit);
-    out.summary = simulation.run();
+    auto start = [&]() {
+        auto simulation = std::make_unique<sim::Simulation>(
+            make_chip(sc), make_specs(sc),
+            make_policy(sc, policy, incremental), cfg);
+        simulation->bus().add_sink(&jsonl);
+        if (policy == "PPM")
+            simulation->bus().add_sink(&audit);
+        return simulation;
+    };
+    std::unique_ptr<sim::Simulation> simulation = start();
+    if (kill_at > 0) {
+        simulation->run_until(kill_at);
+        snap::Writer w;
+        simulation->save(w);
+        simulation.reset();
+        simulation = start();
+        load_snapshot(*simulation, w);
+    }
+    simulation->run_until(cfg.duration);
+    out.summary = simulation->finish();
     out.jsonl = jsonl_os.str();
     if (sc.trace) {
         std::ostringstream csv;
-        simulation.recorder().write_csv(csv);
+        simulation->recorder().write_csv(csv);
         out.trace_csv = csv.str();
     }
     out.audit_error = audit.first_error();
@@ -275,8 +290,7 @@ class FleetAuditSink final : public metrics::TraceSink
 
 /** Everything one federated execution of the scenario produces. */
 struct FleetOutput {
-    sim::RunSummary combined;
-    fleet::FleetResult result; ///< Full result (fault counters etc.).
+    fleet::FleetResult result; ///< Summaries, fault counters etc.
     std::string fleet_jsonl;  ///< Fleet bus bytes (fleet.* series).
     std::string chip0_jsonl;  ///< Shard 0's full telemetry stream.
     std::string budget_error; ///< First FleetAuditSink failure.
@@ -318,23 +332,18 @@ make_fleet_config(const Scenario& sc, int chips, int jobs,
         fc.workloads.push_back(std::move(wl));
     }
     fc.make_chip = [&sc](int) { return make_chip(sc); };
-    fc.make_governor = [&sc, incremental](
-                           int,
-                           Watts budget) -> std::unique_ptr<sim::Governor> {
-        market::PpmGovernorConfig cfg;
-        cfg.market.w_tdp = budget;
-        cfg.market.w_th = market::derive_w_th(budget);
-        cfg.market.incremental = incremental;
-        cfg.big_speedup = big_speedups(sc);
-        cfg.online_speedup = sc.online_speedup;
-        return std::make_unique<market::PpmGovernor>(cfg);
+    fc.make_governor = [&sc, incremental](int, Watts budget) {
+        return experiment::make_governor("PPM", budget, big_speedups(sc),
+                                         sc.online_speedup, 1, nullptr,
+                                         incremental);
     };
     return fc;
 }
 
+/** run_once() of the scenario's `chips`-chip fleet. */
 FleetOutput
 run_fleet(const Scenario& sc, int chips, int jobs, bool incremental,
-          bool fleet_faults = false)
+          bool fleet_faults = false, SimTime kill_at = 0)
 {
     const bool capped = sc.tdp > 0.0;
     const Watts total =
@@ -349,115 +358,34 @@ run_fleet(const Scenario& sc, int chips, int jobs, bool incremental,
     // degraded chip's is clamped), so the sum-to-total audit only
     // holds on healthy fleets.
     const bool check_budget = capped && chips > 1 && !fleet_faults;
-
-    fleet::Fleet fleet(
-        make_fleet_config(sc, chips, jobs, incremental, fleet_faults));
-    fleet.bus().add_sink(&fleet_sink);
-    if (check_budget)
-        fleet.bus().add_sink(&audit);
-    fleet.shard(0).bus().add_sink(&chip_sink);
+    auto start = [&]() {
+        auto fleet = std::make_unique<fleet::Fleet>(
+            make_fleet_config(sc, chips, jobs, incremental, fleet_faults));
+        fleet->bus().add_sink(&fleet_sink);
+        if (check_budget)
+            fleet->bus().add_sink(&audit);
+        fleet->shard(0).bus().add_sink(&chip_sink);
+        return fleet;
+    };
+    std::unique_ptr<fleet::Fleet> fleet = start();
+    if (kill_at > 0) {
+        // Fleet state is only consistent at settlement barriers: kill
+        // at the first one at or after `kill_at`.
+        while (fleet->now() < kill_at && fleet->run_epoch()) {
+        }
+        snap::Writer w;
+        fleet->save(w);
+        fleet.reset();
+        fleet = start();
+        load_snapshot(*fleet, w);
+    }
 
     FleetOutput out;
-    out.result = fleet.run();
-    out.combined = out.result.combined;
+    out.result = fleet->run();
     out.fleet_jsonl = fleet_os.str();
     out.chip0_jsonl = chip_os.str();
     if (check_budget)
         out.budget_error = audit.finish();
-    return out;
-}
-
-/**
- * Kill-and-resume execution of the scenario's PPM run: advance a
- * first simulation to `at`, snapshot it through the real archive
- * bytes (header, checksum and all), restore into a second freshly
- * constructed simulation and run that to the end.  The two telemetry
- * streams concatenate; the summary comes from the restored half.
- */
-RunOutput
-run_split(const Scenario& sc, bool incremental, SimTime at)
-{
-    RunOutput out;
-    snap::Writer w;
-    std::ostringstream os1;
-    {
-        hw::Chip chip = make_chip(sc);
-        const sim::SimConfig cfg = make_sim_config(sc, chip, true);
-        metrics::JsonlSink sink(os1);
-        sim::Simulation first(std::move(chip), make_specs(sc),
-                              make_policy(sc, "PPM", incremental),
-                              cfg);
-        first.bus().add_sink(&sink);
-        first.run_until(at);
-        first.save(w);
-    }
-    std::ostringstream os2;
-    hw::Chip chip = make_chip(sc);
-    const sim::SimConfig cfg = make_sim_config(sc, chip, true);
-    metrics::JsonlSink sink(os2);
-    sim::Simulation second(std::move(chip), make_specs(sc),
-                           make_policy(sc, "PPM", incremental),
-                           cfg);
-    second.bus().add_sink(&sink);
-    snap::Reader r;
-    const snap::LoadStatus st = r.open(w.finalize());
-    PPM_ASSERT(st == snap::LoadStatus::kOk,
-               "in-memory snapshot failed validation");
-    second.load(r);
-    PPM_ASSERT(r.remaining() == 0,
-               "snapshot has trailing bytes after load");
-    second.run_until(cfg.duration);
-    out.summary = second.finish();
-    out.jsonl = os1.str() + os2.str();
-    if (sc.trace) {
-        std::ostringstream csv;
-        second.recorder().write_csv(csv);
-        out.trace_csv = csv.str();
-    }
-    return out;
-}
-
-/**
- * Kill-and-resume execution of the federated scenario: run a first
- * fleet up to the last settlement barrier before `at`, snapshot,
- * restore into a second fleet and run to completion.
- */
-FleetOutput
-run_fleet_split(const Scenario& sc, int chips, bool incremental,
-                bool fleet_faults, SimTime at)
-{
-    FleetOutput out;
-    snap::Writer w;
-    std::ostringstream fleet_os1, chip_os1;
-    {
-        metrics::JsonlSink fleet_sink(fleet_os1);
-        metrics::JsonlSink chip_sink(chip_os1);
-        fleet::Fleet first(make_fleet_config(sc, chips, 1, incremental,
-                                             fleet_faults));
-        first.bus().add_sink(&fleet_sink);
-        first.shard(0).bus().add_sink(&chip_sink);
-        while (first.now() < at && first.run_epoch()) {
-        }
-        first.save(w);
-    }
-    std::ostringstream fleet_os2, chip_os2;
-    metrics::JsonlSink fleet_sink(fleet_os2);
-    metrics::JsonlSink chip_sink(chip_os2);
-    fleet::Fleet second(make_fleet_config(sc, chips, 1, incremental,
-                                          fleet_faults));
-    second.bus().add_sink(&fleet_sink);
-    second.shard(0).bus().add_sink(&chip_sink);
-    snap::Reader r;
-    const snap::LoadStatus st = r.open(w.finalize());
-    PPM_ASSERT(st == snap::LoadStatus::kOk,
-               "in-memory fleet snapshot failed validation");
-    second.load(r);
-    PPM_ASSERT(r.remaining() == 0,
-               "fleet snapshot has trailing bytes after load");
-    out.result = second.run();
-    out.combined = out.result.combined;
-    out.fleet_jsonl = fleet_os1.str() + fleet_os2.str();
-    out.chip0_jsonl = chip_os1.str() + chip_os2.str();
     return out;
 }
 
@@ -466,6 +394,47 @@ fraction_ok(double v)
 {
     return std::isfinite(v) && v >= 0.0 && v <= 1.0 + 1e-12;
 }
+
+/**
+ * Range check of every RunSummary field by its combine kind: rates
+ * and per-task entries in [0, 1], totals finite and >= 0, one
+ * per-task entry per scenario task.  Keeps the first failure.
+ */
+struct FieldRanges {
+    std::size_t tasks;
+    std::string error;
+
+    void check(bool ok, const char* name, const std::string& v,
+               const char* why)
+    {
+        if (!ok && error.empty())
+            error = std::string("summary field ") + name + " = " + v +
+                    " " + why;
+    }
+
+    void operator()(const char*, sim::Combine, const std::string&) {}
+
+    template <class T>
+    void operator()(const char* name, sim::Combine kind, T v)
+    {
+        const double x = static_cast<double>(v);
+        if (kind == sim::Combine::kRate)
+            check(fraction_ok(x), name, fmt_exact(x), "is outside [0, 1]");
+        if (kind == sim::Combine::kTotal)
+            check(std::isfinite(x) && x >= 0.0, name, fmt_exact(x),
+                  "is negative or non-finite");
+    }
+
+    void operator()(const char* name, sim::Combine,
+                    const std::vector<double>& v)
+    {
+        check(v.size() == tasks, name,
+              std::to_string(v.size()) + " entries",
+              "does not cover the task count");
+        for (const double x : v)
+            check(fraction_ok(x), name, fmt_exact(x), "is outside [0, 1]");
+    }
+};
 
 void
 check_summary_sanity(const Scenario& sc, const std::string& policy,
@@ -477,19 +446,10 @@ check_summary_sanity(const Scenario& sc, const std::string& policy,
         out.push_back({"summary-sanity", policy, detail});
     };
 
-    if (!fraction_ok(s.any_below_miss) ||
-        !fraction_ok(s.any_outside_miss) ||
-        !fraction_ok(s.over_tdp_fraction) ||
-        !fraction_ok(s.over_tdp_post_warmup) ||
-        !fraction_ok(s.over_tdp_during_fault)) {
-        bad("a miss/duty fraction is outside [0, 1]");
-        return;
-    }
-    if (!std::isfinite(s.avg_power) || s.avg_power < 0.0 ||
-        !std::isfinite(s.avg_power_post_warmup) ||
-        s.avg_power_post_warmup < 0.0 || !std::isfinite(s.energy) ||
-        s.energy < 0.0) {
-        bad("power/energy is negative or non-finite");
+    FieldRanges ranges{sc.tasks.size(), {}};
+    sim::RunSummary::fields(ranges, s);
+    if (!ranges.error.empty()) {
+        bad(ranges.error);
         return;
     }
     // energy integrates the whole run; avg_power is its time mean.
@@ -505,26 +465,15 @@ check_summary_sanity(const Scenario& sc, const std::string& policy,
         s.peak_temp_c > 500.0)
         bad("peak temperature " + fmt_exact(s.peak_temp_c) +
             " is implausible");
-    if (s.migrations < 0 || s.vf_transitions < 0 ||
-        s.thermal_cycles < 0)
-        bad("a hardware counter went negative");
-    if (s.task_below.size() != sc.tasks.size() ||
-        s.task_outside.size() != sc.tasks.size()) {
-        bad("per-task QoS vectors don't cover the task count");
-        return;
-    }
     for (std::size_t t = 0; t < s.task_below.size(); ++t) {
-        if (!fraction_ok(s.task_below[t]) ||
-            !fraction_ok(s.task_outside[t]) ||
-            s.task_below[t] > s.task_outside[t] + 1e-12) {
+        if (s.task_below[t] > s.task_outside[t] + 1e-12) {
             bad("task " + std::to_string(t) +
                 " QoS fractions inconsistent (below " +
                 fmt_exact(s.task_below[t]) + ", outside " +
                 fmt_exact(s.task_outside[t]) + ")");
         }
     }
-    if (s.safe_mode_seconds < 0.0 ||
-        s.safe_mode_seconds > dur_s + 1e-9)
+    if (s.safe_mode_seconds > dur_s + 1e-9)
         bad("safe-mode time " + fmt_exact(s.safe_mode_seconds) +
             " exceeds the run length");
 }
@@ -554,14 +503,11 @@ check_fault_counters(const Scenario& sc, const std::string& policy,
         }
         return;
     }
-    if (s.faults_injected < 0 ||
-        static_cast<std::size_t>(s.faults_injected) > run.plan_events)
+    // Counter signs are covered by check_summary_sanity's field walk.
+    if (static_cast<std::size_t>(s.faults_injected) > run.plan_events)
         bad("activated " + std::to_string(s.faults_injected) +
             " fault windows but the plan only schedules " +
             std::to_string(run.plan_events));
-    if (s.sensor_fallbacks < 0 || s.fault_retries < 0 ||
-        s.safe_mode_entries < 0 || s.watchdog_trips < 0)
-        bad("a fault counter went negative");
 }
 
 void
@@ -586,48 +532,53 @@ check_tdp_duty(const Scenario& sc, const std::string& policy,
     }
 }
 
-} // namespace
-
+/**
+ * The first observable difference between two runs of one scenario:
+ * the first differing summary field, else the telemetry stream, else
+ * the traced series.  Empty when the runs match byte for byte.
+ */
 std::string
-summary_fingerprint(const sim::RunSummary& s)
+run_difference(const RunOutput& a, const RunOutput& b)
 {
-    std::ostringstream out;
-    out << s.governor << '\n'
-        << fmt_exact(s.any_below_miss) << '\n'
-        << fmt_exact(s.any_outside_miss) << '\n'
-        << fmt_exact(s.avg_power) << '\n'
-        << fmt_exact(s.avg_power_post_warmup) << '\n'
-        << fmt_exact(s.energy) << '\n'
-        << s.migrations << '\n'
-        << s.vf_transitions << '\n'
-        << fmt_exact(s.over_tdp_fraction) << '\n'
-        << fmt_exact(s.over_tdp_post_warmup) << '\n'
-        << fmt_exact(s.peak_temp_c) << '\n'
-        << s.thermal_cycles << '\n'
-        << s.faults_injected << '\n'
-        << s.sensor_fallbacks << '\n'
-        << s.fault_retries << '\n'
-        << s.safe_mode_entries << '\n'
-        << s.watchdog_trips << '\n'
-        << fmt_exact(s.safe_mode_seconds) << '\n'
-        << fmt_exact(s.over_tdp_during_fault) << '\n'
-        << s.market_rounds << '\n'
-        << s.market_task_slots << '\n'
-        << s.market_tasks_skipped << '\n'
-        << s.market_core_slots << '\n'
-        << s.market_cores_skipped << '\n'
-        << s.market_rounds_early_exit << '\n';
-    for (const double v : s.task_below)
-        out << fmt_exact(v) << '\n';
-    for (const double v : s.task_outside)
-        out << fmt_exact(v) << '\n';
-    return out.str();
+    const std::string d = sim::summary_difference(a.summary, b.summary);
+    if (!d.empty())
+        return d;
+    if (a.jsonl != b.jsonl)
+        return "telemetry streams differ (" +
+               std::to_string(a.jsonl.size()) + " vs " +
+               std::to_string(b.jsonl.size()) + " bytes)";
+    if (a.trace_csv != b.trace_csv)
+        return "traced time series differ";
+    return {};
 }
+
+/** run_difference() of two fleet runs: combined summary, then streams. */
+std::string
+fleet_difference(const FleetOutput& a, const FleetOutput& b)
+{
+    const std::string d = sim::summary_difference(a.result.combined,
+                                                  b.result.combined);
+    if (!d.empty())
+        return d;
+    if (a.fleet_jsonl != b.fleet_jsonl || a.chip0_jsonl != b.chip0_jsonl)
+        return "fleet telemetry streams differ";
+    return {};
+}
+
+} // namespace
 
 std::vector<Violation>
 check_scenario(const Scenario& sc)
 {
     std::vector<Violation> violations;
+    // Records `diff` (when non-empty) under `invariant`, prefixed with
+    // the two executions it compares.
+    auto differ = [&violations](const char* invariant,
+                                const std::string& policy,
+                                const char* what, const std::string& diff) {
+        if (!diff.empty())
+            violations.push_back({invariant, policy, what + diff});
+    };
     Watts chip_peak = 0.0;
     {
         const hw::Chip chip = make_chip(sc);
@@ -640,26 +591,8 @@ check_scenario(const Scenario& sc)
             run_once(sc, policy, true, sc.incremental);
         const RunOutput tick =
             run_once(sc, policy, false, sc.incremental);
-
-        if (summary_fingerprint(macro.summary) !=
-            summary_fingerprint(tick.summary)) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "summary fingerprints differ between macro-step "
-                 "and per-tick execution"});
-        } else if (macro.jsonl != tick.jsonl) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "telemetry streams differ between macro-step and "
-                 "per-tick execution (" +
-                     std::to_string(macro.jsonl.size()) + " vs " +
-                     std::to_string(tick.jsonl.size()) + " bytes)"});
-        } else if (macro.trace_csv != tick.trace_csv) {
-            violations.push_back(
-                {"macro-vs-tick", policy,
-                 "traced time series differ between macro-step and "
-                 "per-tick execution"});
-        }
+        differ("macro-vs-tick", policy, "macro-step vs per-tick: ",
+               run_difference(macro, tick));
 
         if (!macro.audit_error.empty()) {
             violations.push_back(
@@ -672,60 +605,33 @@ check_scenario(const Scenario& sc)
     }
 
     // Incremental differential: the active-set engine must replay the
-    // full recompute bit for bit on EVERY scenario -- summary
-    // fingerprint (which embeds the market skip counters: the dirty
-    // bookkeeping is mode-invariant, so even the skip counts must
-    // match), the full telemetry stream, and the traced time series.
-    // A divergence here is a dirty-set bug: some entry skipped a
-    // recompute whose inputs had actually changed.
-    {
-        const RunOutput inc = run_once(sc, "PPM", true, true);
-        const RunOutput full = run_once(sc, "PPM", true, false);
-        if (summary_fingerprint(inc.summary) !=
-            summary_fingerprint(full.summary)) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "summary fingerprints differ between incremental "
-                 "and full clearing"});
-        } else if (inc.jsonl != full.jsonl) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "telemetry streams differ between incremental and "
-                 "full clearing (" +
-                     std::to_string(inc.jsonl.size()) + " vs " +
-                     std::to_string(full.jsonl.size()) + " bytes)"});
-        } else if (inc.trace_csv != full.trace_csv) {
-            violations.push_back(
-                {"incremental", "PPM",
-                 "traced time series differ between incremental and "
-                 "full clearing"});
-        }
-    }
+    // full recompute bit for bit on EVERY scenario -- summary (which
+    // embeds the market skip counters: the dirty bookkeeping is
+    // mode-invariant, so even the skip counts must match), the full
+    // telemetry stream, and the traced time series.  A divergence
+    // here is a dirty-set bug: some entry skipped a recompute whose
+    // inputs had actually changed.
+    differ("incremental", "PPM", "incremental vs full clearing: ",
+           run_difference(run_once(sc, "PPM", true, true),
+                          run_once(sc, "PPM", true, false)));
 
     // Fleet-single differential: a 1-chip fleet wrapping the exact
     // PPM configuration must reproduce the plain run bit for bit --
-    // summary fingerprint AND the shard's full telemetry stream
-    // (run_until slicing at the epoch barriers provably changes
-    // nothing, and a 1-chip settlement never moves the budget).
+    // summary AND the shard's full telemetry stream (run_until
+    // slicing at the epoch barriers provably changes nothing, and a
+    // 1-chip settlement never moves the budget).
     {
         const RunOutput plain =
             run_once(sc, "PPM", true, sc.incremental);
         const FleetOutput single = run_fleet(sc, 1, 1, sc.incremental);
-        if (summary_fingerprint(single.combined) !=
-            summary_fingerprint(plain.summary)) {
-            violations.push_back(
-                {"fleet-single", "PPM",
-                 "1-chip fleet summary fingerprint differs from the "
-                 "plain simulation"});
-        } else if (single.chip0_jsonl != plain.jsonl) {
-            violations.push_back(
-                {"fleet-single", "PPM",
-                 "1-chip fleet telemetry stream differs from the "
-                 "plain simulation (" +
-                     std::to_string(single.chip0_jsonl.size()) +
-                     " vs " + std::to_string(plain.jsonl.size()) +
-                     " bytes)"});
-        }
+        std::string diff =
+            sim::summary_difference(single.result.combined, plain.summary);
+        if (diff.empty() && single.chip0_jsonl != plain.jsonl)
+            diff = "telemetry streams differ (" +
+                   std::to_string(single.chip0_jsonl.size()) + " vs " +
+                   std::to_string(plain.jsonl.size()) + " bytes)";
+        differ("fleet-single", "PPM", "1-chip fleet vs plain run: ",
+               diff);
     }
 
     // Federated invariants: jobs-count byte-determinism, repeat-run
@@ -734,31 +640,15 @@ check_scenario(const Scenario& sc)
     if (sc.fleet_chips > 1) {
         const FleetOutput serial =
             run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
-        const FleetOutput pooled =
-            run_fleet(sc, sc.fleet_chips, 3, sc.incremental);
-        if (summary_fingerprint(serial.combined) !=
-            summary_fingerprint(pooled.combined)) {
-            violations.push_back(
-                {"fleet-jobs", "PPM",
-                 "fleet summary fingerprints differ between jobs=1 "
-                 "and jobs=3"});
-        } else if (serial.fleet_jsonl != pooled.fleet_jsonl ||
-                   serial.chip0_jsonl != pooled.chip0_jsonl) {
-            violations.push_back(
-                {"fleet-jobs", "PPM",
-                 "fleet telemetry streams differ between jobs=1 and "
-                 "jobs=3"});
-        }
-        const FleetOutput again =
-            run_fleet(sc, sc.fleet_chips, 1, sc.incremental);
-        if (serial.fleet_jsonl != again.fleet_jsonl ||
-            serial.chip0_jsonl != again.chip0_jsonl ||
-            summary_fingerprint(serial.combined) !=
-                summary_fingerprint(again.combined)) {
-            violations.push_back(
-                {"fleet-determinism", "PPM",
-                 "two identical fleet runs produced different bytes"});
-        }
+        differ("fleet-jobs", "PPM", "fleet jobs=1 vs jobs=3: ",
+               fleet_difference(
+                   serial, run_fleet(sc, sc.fleet_chips, 3,
+                                     sc.incremental)));
+        differ("fleet-determinism", "PPM",
+               "two identical fleet runs: ",
+               fleet_difference(
+                   serial, run_fleet(sc, sc.fleet_chips, 1,
+                                     sc.incremental)));
         if (!serial.budget_error.empty()) {
             violations.push_back(
                 {"fleet-budget", "PPM", serial.budget_error});
@@ -766,17 +656,11 @@ check_scenario(const Scenario& sc)
         // Fleet incremental differential: epoch-barrier warm starts
         // (budget retargets via set_power_budget between settlements)
         // must also replay bit for bit against full clearing.
-        const FleetOutput other =
-            run_fleet(sc, sc.fleet_chips, 1, !sc.incremental);
-        if (serial.fleet_jsonl != other.fleet_jsonl ||
-            serial.chip0_jsonl != other.chip0_jsonl ||
-            summary_fingerprint(serial.combined) !=
-                summary_fingerprint(other.combined)) {
-            violations.push_back(
-                {"fleet-incremental", "PPM",
-                 "fleet bytes differ between incremental and full "
-                 "clearing"});
-        }
+        differ("fleet-incremental", "PPM",
+               "fleet incremental vs full clearing: ",
+               fleet_difference(
+                   serial, run_fleet(sc, sc.fleet_chips, 1,
+                                     !sc.incremental)));
     }
 
     // Chip-level fault invariants: evacuation conservation (no task
@@ -808,17 +692,11 @@ check_scenario(const Scenario& sc)
                      std::to_string(fr.chip_failures) +
                      " failures were applied"});
         }
-        const FleetOutput pooled =
-            run_fleet(sc, sc.fleet_chips, 3, sc.incremental, true);
-        if (summary_fingerprint(faulted.combined) !=
-                summary_fingerprint(pooled.combined) ||
-            faulted.fleet_jsonl != pooled.fleet_jsonl ||
-            faulted.chip0_jsonl != pooled.chip0_jsonl) {
-            violations.push_back(
-                {"fleet-fault-jobs", "PPM",
-                 "faulted fleet bytes differ between jobs=1 and "
-                 "jobs=3"});
-        }
+        differ("fleet-fault-jobs", "PPM",
+               "faulted fleet jobs=1 vs jobs=3: ",
+               fleet_difference(faulted,
+                                run_fleet(sc, sc.fleet_chips, 3,
+                                          sc.incremental, true)));
     }
 
     // Snapshot differential: a kill at snapshot_at followed by a
@@ -826,43 +704,21 @@ check_scenario(const Scenario& sc)
     // trajectory -- summaries, telemetry streams (concatenated
     // across the kill) and traced series byte for byte.
     if (sc.snapshot_at > 0) {
-        const RunOutput full =
-            run_once(sc, "PPM", true, sc.incremental);
-        const RunOutput split =
-            run_split(sc, sc.incremental, sc.snapshot_at);
-        if (summary_fingerprint(full.summary) !=
-            summary_fingerprint(split.summary)) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "summary fingerprints differ between the "
-                 "uninterrupted and the kill-and-resume run"});
-        } else if (full.jsonl != split.jsonl) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "telemetry streams differ across the snapshot (" +
-                     std::to_string(full.jsonl.size()) + " vs " +
-                     std::to_string(split.jsonl.size()) + " bytes)"});
-        } else if (full.trace_csv != split.trace_csv) {
-            violations.push_back(
-                {"snapshot-restore", "PPM",
-                 "traced time series differ across the snapshot"});
-        }
+        differ("snapshot-restore", "PPM",
+               "uninterrupted vs kill-and-resume run: ",
+               run_difference(
+                   run_once(sc, "PPM", true, sc.incremental),
+                   run_once(sc, "PPM", true, sc.incremental,
+                            sc.snapshot_at)));
         if (sc.fleet_chips > 1) {
-            const FleetOutput ffull =
-                run_fleet(sc, sc.fleet_chips, 1, sc.incremental,
-                          sc.has_fleet_faults);
-            const FleetOutput fsplit = run_fleet_split(
-                sc, sc.fleet_chips, sc.incremental,
-                sc.has_fleet_faults, sc.snapshot_at);
-            if (summary_fingerprint(ffull.combined) !=
-                    summary_fingerprint(fsplit.combined) ||
-                ffull.fleet_jsonl != fsplit.fleet_jsonl ||
-                ffull.chip0_jsonl != fsplit.chip0_jsonl) {
-                violations.push_back(
-                    {"fleet-snapshot-restore", "PPM",
-                     "fleet bytes differ between the uninterrupted "
-                     "and the kill-and-resume run"});
-            }
+            differ("fleet-snapshot-restore", "PPM",
+                   "uninterrupted vs kill-and-resume fleet: ",
+                   fleet_difference(
+                       run_fleet(sc, sc.fleet_chips, 1, sc.incremental,
+                                 sc.has_fleet_faults),
+                       run_fleet(sc, sc.fleet_chips, 1,
+                                 sc.incremental, sc.has_fleet_faults,
+                                 sc.snapshot_at)));
         }
     }
     return violations;

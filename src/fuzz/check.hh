@@ -43,12 +43,11 @@ struct Violation {
 };
 
 /**
- * Full-precision rendering of every RunSummary field (including the
- * fault counters), used as the macro-vs-tick and fleet-jobs
- * comparison key: two runs are equivalent iff their fingerprints are
- * byte-identical.
+ * The macro-vs-tick, fleet-jobs and restore comparison key (see
+ * sim::summary_fingerprint): two runs are equivalent iff their
+ * fingerprints are byte-identical.
  */
-std::string summary_fingerprint(const sim::RunSummary& s);
+using sim::summary_fingerprint;
 
 /**
  * Execute `sc` differentially under every policy and return every

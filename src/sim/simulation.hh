@@ -89,6 +89,20 @@ struct SimConfig {
 };
 
 /**
+ * How one RunSummary field combines over the chips of a fleet
+ * (combine_chip_summaries) and over the seeds of one experiment cell
+ * (aggregate_summaries).  Rate and peak fields are doubles.
+ */
+enum class Combine {
+    kLabel,   ///< The first value is kept.
+    kRate,    ///< Chips: mean.  Seeds: mean.
+    kTotal,   ///< Chips: sum.  Seeds: mean (a long is summed, divided
+              ///< and truncated).
+    kPeak,    ///< Chips and seeds: max.
+    kPerTask, ///< Chips: concatenated.  Seeds: element-wise mean.
+};
+
+/**
  * Aggregate results of a run.
  *
  * Accounting windows: the QoS fractions (any_*_miss, task_below,
@@ -144,7 +158,73 @@ struct RunSummary {
     long market_core_slots = 0;      ///< Core fold slots considered.
     long market_cores_skipped = 0;   ///< ...reused their fold results.
     long market_rounds_early_exit = 0; ///< Rounds with empty active set.
+
+    /**
+     * The field list: every field once, in fingerprint order, as
+     * `a(name, kind, s.field...)` with the same field of each summary
+     * in `s`.  One summary is read (fingerprint, range checks) or
+     * several are walked in step (combine, compare).  A new field is
+     * added here and in Simulation::summary(), nowhere else.
+     */
+    template <class A, class... S>
+    static void fields(A& a, S&... s)
+    {
+        using enum Combine;
+        a("governor", kLabel, s.governor...);
+        a("any_below_miss", kRate, s.any_below_miss...);
+        a("any_outside_miss", kRate, s.any_outside_miss...);
+        a("avg_power", kTotal, s.avg_power...);
+        a("avg_power_post_warmup", kTotal, s.avg_power_post_warmup...);
+        a("energy", kTotal, s.energy...);
+        a("migrations", kTotal, s.migrations...);
+        a("vf_transitions", kTotal, s.vf_transitions...);
+        a("over_tdp_fraction", kRate, s.over_tdp_fraction...);
+        a("over_tdp_post_warmup", kRate, s.over_tdp_post_warmup...);
+        a("peak_temp_c", kPeak, s.peak_temp_c...);
+        a("thermal_cycles", kTotal, s.thermal_cycles...);
+        a("faults_injected", kTotal, s.faults_injected...);
+        a("sensor_fallbacks", kTotal, s.sensor_fallbacks...);
+        a("fault_retries", kTotal, s.fault_retries...);
+        a("safe_mode_entries", kTotal, s.safe_mode_entries...);
+        a("watchdog_trips", kTotal, s.watchdog_trips...);
+        a("safe_mode_seconds", kTotal, s.safe_mode_seconds...);
+        a("over_tdp_during_fault", kRate, s.over_tdp_during_fault...);
+        a("market_rounds", kTotal, s.market_rounds...);
+        a("market_task_slots", kTotal, s.market_task_slots...);
+        a("market_tasks_skipped", kTotal, s.market_tasks_skipped...);
+        a("market_core_slots", kTotal, s.market_core_slots...);
+        a("market_cores_skipped", kTotal, s.market_cores_skipped...);
+        a("market_rounds_early_exit", kTotal,
+          s.market_rounds_early_exit...);
+        a("task_below", kPerTask, s.task_below...);
+        a("task_outside", kPerTask, s.task_outside...);
+    }
 };
+
+/**
+ * Every field at full precision (%.17g), one value per line in list
+ * order: two summaries are equal iff their fingerprints are.
+ */
+std::string summary_fingerprint(const RunSummary& s);
+
+/**
+ * "summary field <name> differs: <a> vs <b>" for the first field (or
+ * task vector element, "<name>[i]") that renders differently; empty
+ * when there is none.
+ */
+std::string summary_difference(const RunSummary& a, const RunSummary& b);
+
+/**
+ * The fleet's summary over its chips, folded from zero in chip order
+ * (see Combine); a single chip's summary is returned verbatim.
+ */
+RunSummary combine_chip_summaries(const std::vector<RunSummary>& chips);
+
+/**
+ * The mean over seeds (see Combine): summed from the first seed in
+ * seed order, then divided.  panic()s on mismatched task counts.
+ */
+RunSummary aggregate_summaries(const std::vector<RunSummary>& seeds);
 
 /** One complete experiment instance. */
 class Simulation

@@ -54,26 +54,6 @@ fnv1a(const std::string& bytes)
     return h;
 }
 
-/** Full-precision textual fingerprint of a RunSummary. */
-std::string
-fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << ' ' << fmt_exact(s.any_below_miss) << ' '
-        << fmt_exact(s.any_outside_miss) << ' '
-        << fmt_exact(s.avg_power) << ' '
-        << fmt_exact(s.avg_power_post_warmup) << ' '
-        << fmt_exact(s.energy) << ' ' << s.migrations << ' '
-        << s.vf_transitions << ' ' << fmt_exact(s.over_tdp_fraction)
-        << ' ' << fmt_exact(s.over_tdp_post_warmup) << ' '
-        << fmt_exact(s.peak_temp_c) << ' ' << s.thermal_cycles;
-    for (const double v : s.task_below)
-        out << ' ' << fmt_exact(v);
-    for (const double v : s.task_outside)
-        out << ' ' << fmt_exact(v);
-    return out.str();
-}
-
 /** The exact PPM configuration of the golden hot-path fixture. */
 market::PpmGovernorConfig
 golden_ppm_config()
@@ -236,7 +216,8 @@ TEST(Fleet, OneChipFleetMatchesPlainSimulationByteForByte)
     std::ostringstream fleet_wide;
     fleet.shard(0).recorder().write_csv(fleet_wide);
 
-    EXPECT_EQ(fingerprint(res.combined), fingerprint(plain_summary));
+    EXPECT_EQ(sim::summary_fingerprint(res.combined),
+              sim::summary_fingerprint(plain_summary));
     EXPECT_EQ(fleet_jsonl_os.str(), plain_jsonl_os.str());
     EXPECT_EQ(fleet_csv_os.str(), plain_csv_os.str());
     EXPECT_EQ(fleet_wide.str(), plain_wide.str());
@@ -328,8 +309,8 @@ run_golden_fleet(int chips, int jobs)
     fleet.bus().add_sink(&fleet_sink);
     fleet.shard(0).bus().add_sink(&chip_sink);
     const fleet::FleetResult res = fleet.run();
-    return {fingerprint(res.combined), fleet_os.str(), chip_os.str(),
-            res.final_budgets, res.supervisor_epochs};
+    return {sim::summary_fingerprint(res.combined), fleet_os.str(),
+            chip_os.str(), res.final_budgets, res.supervisor_epochs};
 }
 
 TEST(Fleet, JobsCountNeverChangesBytes)
@@ -461,7 +442,7 @@ TEST(Simulation, RunUntilSlicesMatchOneShotRun)
     sliced->run_until(6 * kSecond);
     const sim::RunSummary b = sliced->finish();
 
-    EXPECT_EQ(fingerprint(a), fingerprint(b));
+    EXPECT_EQ(sim::summary_fingerprint(a), sim::summary_fingerprint(b));
     EXPECT_EQ(os_a.str(), os_b.str());
 }
 
@@ -537,7 +518,7 @@ TEST(FleetFaults, EmptyPlanLeavesTheRunByteIdentical)
     fleet.shard(0).bus().add_sink(&chip_sink);
     const fleet::FleetResult res = fleet.run();
 
-    EXPECT_EQ(fingerprint(res.combined), plain.summary);
+    EXPECT_EQ(sim::summary_fingerprint(res.combined), plain.summary);
     EXPECT_EQ(fleet_os.str(), plain.fleet_jsonl);
     EXPECT_EQ(chip_os.str(), plain.chip0_jsonl);
     EXPECT_EQ(res.final_budgets, plain.final_budgets);

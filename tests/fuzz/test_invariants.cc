@@ -71,6 +71,30 @@ TEST(SummaryFingerprint, SensitiveToEveryKindOfField)
     EXPECT_NE(summary_fingerprint(s), base);
 }
 
+TEST(SummaryDifference, NamesTheFirstDifferingField)
+{
+    const sim::RunSummary base = sample_summary();
+    EXPECT_EQ(sim::summary_difference(base, base), "");
+
+    sim::RunSummary s = base;
+    s.fault_retries = 4;
+    s.market_rounds = 9;  // Later in the list: not the one reported.
+    sim::RunSummary t = base;
+    t.fault_retries = 3;
+    EXPECT_EQ(sim::summary_difference(t, s),
+              "summary field fault_retries differs: 3 vs 4");
+
+    s = base;
+    s.task_outside[1] = 0.75;
+    EXPECT_EQ(sim::summary_difference(base, s),
+              "summary field task_outside[1] differs: 0.5 vs 0.75");
+
+    s = base;
+    s.task_below.push_back(0.0);
+    EXPECT_EQ(sim::summary_difference(base, s),
+              "summary field task_below differs: 2 tasks vs 3 tasks");
+}
+
 /** A small, fault-free, single-phase scenario that must be clean. */
 Scenario
 trivial_scenario()

@@ -25,9 +25,14 @@
  * different bytes than earlier builds did, which would strand every
  * archive on disk.
  *
+ * The summary golden (tests/golden/summary_reduce.txt) pins the two
+ * RunSummary reducers by their full fingerprints: the cross-seed mean
+ * of a faulted PPM run_set and the combined summary of a chip-faulted
+ * 4-chip fleet.
+ *
  * Regenerate (only when an *intentional* output change lands) with:
  *   PPM_REGEN_GOLDEN=1 ./build/tests/test_integration \
- *       --gtest_filter='GoldenEquivalence.*:ArchiveGolden.*'
+ *       --gtest_filter='GoldenEquivalence.*:ArchiveGolden.*:SummaryGolden.*'
  */
 
 #include <cinttypes>
@@ -42,6 +47,7 @@
 
 #include "baselines/hl_governor.hh"
 #include "baselines/hpm_governor.hh"
+#include "experiment/experiment.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
 #include "hw/platform.hh"
@@ -378,12 +384,10 @@ faulted_online_archive(SimTime at)
 
 /**
  * The chip-faulted 4-chip fleet of the kill-and-resume tests
- * (SnapshotRestore.FaultedFleetBitExactAcrossSnapshot), saved at the
- * first barrier at or after `at`: health, rosters, clamps and the
- * pending-evacuation queue reach the archive.
+ * (SnapshotRestore.FaultedFleetBitExactAcrossSnapshot).
  */
-std::string
-faulted_fleet_archive(SimTime at)
+fleet::FleetConfig
+faulted_fleet_config()
 {
     constexpr int kChips = 4;
     fleet::FleetConfig fc;
@@ -414,7 +418,18 @@ faulted_fleet_archive(SimTime at)
     spec.chip_rate_per_min = 30.0;
     fc.fleet_faults = fault::FleetFaultPlan::compile(
         spec, kChips, fc.sim.duration, fc.epoch);
-    fleet::Fleet f(std::move(fc));
+    return fc;
+}
+
+/**
+ * faulted_fleet_config() saved at the first barrier at or after `at`:
+ * health, rosters, clamps and the pending-evacuation queue reach the
+ * archive.
+ */
+std::string
+faulted_fleet_archive(SimTime at)
+{
+    fleet::Fleet f(faulted_fleet_config());
     while (f.now() < at && f.run_epoch()) {
     }
     snap::Writer w;
@@ -435,6 +450,49 @@ TEST(ArchiveGolden, SnapshotBytesMatchRecordedFormat)
                   "snapshot archive bytes changed -- archives written by "
                   "earlier builds would no longer load (each line: name, "
                   "size, FNV-1a-64)");
+}
+
+/**
+ * The two summary reducers, pinned by their full fingerprints: the
+ * cross-seed mean (aggregate_summaries) of three seeds of a short
+ * faulted PPM run_set, and the `combined` summary of
+ * faulted_fleet_config() with sensor and DVFS faults added on every
+ * chip.  Both carry non-zero fault and clearing counters, and the
+ * fleet's failed chips leave per-chip task vectors of different
+ * lengths, so every combine kind reaches the file.
+ */
+TEST(SummaryGolden, SeedMeanAndChipCombineMatchRecordedBytes)
+{
+    experiment::RunParams params;
+    params.duration = 6 * kSecond;
+    params.tdp = 4.0;
+    std::string error;
+    ASSERT_TRUE(fault::parse_fault_spec("all,seed=7,rate=30",
+                                        &params.faults, &error))
+        << error;
+    std::string actual = "seed-mean PPM m2 3 seeds\n";
+    actual += sim::summary_fingerprint(experiment::run_set_avg(
+        workload::workload_set("m2"), params, 3, 1));
+
+    fleet::FleetConfig fc = faulted_fleet_config();
+    fault::FaultSpec chip_faults;
+    chip_faults.seed = 7;
+    chip_faults.sensor = true;
+    chip_faults.dvfs = true;
+    chip_faults.rate_per_min = 30.0;
+    const hw::Chip chip = hw::tc2_chip();
+    fc.sim.faults = fault::FaultPlan::compile(
+        chip_faults, chip.num_clusters(), chip.num_cores(),
+        fc.sim.duration, fc.sim.tick);
+    actual += "chip-combine fleet4-chip-faults\n";
+    actual += sim::summary_fingerprint(
+        fleet::Fleet(std::move(fc)).run().combined);
+
+    expect_golden(std::string(PPM_GOLDEN_DIR) + "/summary_reduce.txt",
+                  actual,
+                  "a summary reducer changed its output -- the seed "
+                  "mean or the chip combine no longer reproduces the "
+                  "recorded bytes");
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -103,6 +104,143 @@ TEST(AggregateSummaries, SingleSummaryIsIdentity)
     EXPECT_DOUBLE_EQ(avg.avg_power, s.avg_power);
     EXPECT_EQ(avg.thermal_cycles, s.thermal_cycles);
     EXPECT_EQ(avg.task_below, s.task_below);
+}
+
+TEST(AggregateSummaries, FaultAndClearingCountersAreSeedMeans)
+{
+    auto a = make_summary(1.0);
+    auto b = make_summary(1.0);
+    a.fault_retries = 3;
+    b.fault_retries = 4;
+    a.market_rounds = 100;
+    b.market_rounds = 51;
+    a.safe_mode_seconds = 1.0;
+    b.safe_mode_seconds = 2.0;
+    a.over_tdp_during_fault = 0.25;
+    b.over_tdp_during_fault = 0.75;
+    const auto avg = aggregate_summaries({a, b});
+    EXPECT_EQ(avg.fault_retries, 3);    // 7 / 2 truncated.
+    EXPECT_EQ(avg.market_rounds, 75);   // 151 / 2 truncated.
+    EXPECT_EQ(avg.safe_mode_seconds, 1.5);
+    EXPECT_EQ(avg.over_tdp_during_fault, 0.5);
+}
+
+/**
+ * Fills every field of a summary from its combine kind, with values
+ * that differ per field and per `chip`: rates in [0, 1], totals and
+ * peaks positive, `chip + 1` task entries.
+ */
+struct FillByKind {
+    int chip;
+    int field = 0;
+
+    void operator()(const char*, sim::Combine, std::string& v)
+    {
+        v = "chip" + std::to_string(chip);
+    }
+    void operator()(const char*, sim::Combine kind, double& v)
+    {
+        ++field;
+        v = kind == sim::Combine::kRate ? 0.01 * (field + chip)
+                                        : 1.5 * field + 10.0 * chip;
+    }
+    void operator()(const char*, sim::Combine, long& v)
+    {
+        v = ++field + 100L * chip;
+    }
+    void operator()(const char*, sim::Combine, std::vector<double>& v)
+    {
+        v.assign(static_cast<std::size_t>(chip + 1), 0.1 * ++field);
+    }
+};
+
+/** Checks the fleet's combined fields against three chips' fields. */
+struct ExpectChipCombine {
+    void operator()(const char* name, sim::Combine, const std::string& c,
+                    const std::string& a, const std::string&,
+                    const std::string&)
+    {
+        EXPECT_EQ(c, a) << name << ": the label comes from chip 0";
+    }
+    void operator()(const char* name, sim::Combine kind, double c,
+                    double a, double b, double d)
+    {
+        if (kind == sim::Combine::kRate)
+            EXPECT_EQ(c, 0.0 + a / 3.0 + b / 3.0 + d / 3.0) << name;
+        else if (kind == sim::Combine::kPeak)
+            EXPECT_EQ(c, std::max({a, b, d})) << name;
+        else
+            EXPECT_EQ(c, 0.0 + a + b + d) << name;
+    }
+    void operator()(const char* name, sim::Combine, long c, long a,
+                    long b, long d)
+    {
+        EXPECT_EQ(c, a + b + d) << name;
+    }
+    void operator()(const char* name, sim::Combine,
+                    const std::vector<double>& c,
+                    const std::vector<double>& a,
+                    const std::vector<double>& b,
+                    const std::vector<double>& d)
+    {
+        std::vector<double> concat = a;
+        concat.insert(concat.end(), b.begin(), b.end());
+        concat.insert(concat.end(), d.begin(), d.end());
+        EXPECT_EQ(c, concat) << name;
+    }
+};
+
+std::vector<sim::RunSummary>
+three_filled_chips()
+{
+    std::vector<sim::RunSummary> chips(3);
+    for (int c = 0; c < 3; ++c) {
+        FillByKind fill{c};
+        sim::RunSummary::fields(fill, chips[c]);
+    }
+    return chips;
+}
+
+TEST(CombineChipSummaries, EveryFieldCombinesByItsKind)
+{
+    const auto chips = three_filled_chips();
+    const sim::RunSummary c = sim::combine_chip_summaries(chips);
+    ExpectChipCombine expect;
+    sim::RunSummary::fields(expect, c, chips[0], chips[1], chips[2]);
+}
+
+TEST(CombineChipSummaries, RatesAreChipMeansTotalsAreSums)
+{
+    auto a = make_summary(1.0);
+    auto b = make_summary(3.0);
+    a.fault_retries = 2;
+    b.fault_retries = 5;
+    const auto c = sim::combine_chip_summaries({a, b});
+    EXPECT_NEAR(c.any_below_miss, 0.2, 1e-12);
+    EXPECT_NEAR(c.over_tdp_fraction, 0.1, 1e-12);
+    EXPECT_NEAR(c.avg_power, 4.0, 1e-12);
+    EXPECT_NEAR(c.energy, 400.0, 1e-12);
+    EXPECT_EQ(c.migrations, 40);
+    EXPECT_EQ(c.fault_retries, 7);
+    EXPECT_DOUBLE_EQ(c.peak_temp_c, 150.0);
+}
+
+TEST(CombineChipSummaries, TaskVectorsConcatenateInChipOrder)
+{
+    auto a = make_summary(1.0);
+    auto b = make_summary(1.0);
+    a.task_below = {0.1};
+    b.task_below = {0.2, 0.3};
+    const auto c = sim::combine_chip_summaries({a, b});
+    EXPECT_EQ(c.task_below, (std::vector<double>{0.1, 0.2, 0.3}));
+}
+
+TEST(CombineChipSummaries, SingleChipIsVerbatim)
+{
+    auto s = make_summary(1.0);
+    s.peak_temp_c = -5.0;  // A chip fold from zero would clamp this.
+    EXPECT_EQ(sim::summary_fingerprint(sim::combine_chip_summaries({s})),
+              sim::summary_fingerprint(s));
 }
 
 TEST(RunCells, PreservesInputOrder)

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -34,36 +33,6 @@
 
 namespace ppm {
 namespace {
-
-std::string
-fmt_exact(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Full-precision textual fingerprint of a RunSummary. */
-std::string
-fingerprint(const sim::RunSummary& s)
-{
-    std::ostringstream out;
-    out << s.governor << ' ' << fmt_exact(s.any_below_miss) << ' '
-        << fmt_exact(s.any_outside_miss) << ' '
-        << fmt_exact(s.avg_power) << ' '
-        << fmt_exact(s.avg_power_post_warmup) << ' '
-        << fmt_exact(s.energy) << ' ' << s.migrations << ' '
-        << s.vf_transitions << ' ' << fmt_exact(s.over_tdp_fraction)
-        << ' ' << fmt_exact(s.over_tdp_post_warmup) << ' '
-        << fmt_exact(s.peak_temp_c) << ' ' << s.thermal_cycles << ' '
-        << s.market_rounds << ' ' << s.market_tasks_skipped << ' '
-        << s.market_rounds_early_exit;
-    for (const double v : s.task_below)
-        out << ' ' << fmt_exact(v);
-    for (const double v : s.task_outside)
-        out << ' ' << fmt_exact(v);
-    return out.str();
-}
 
 // ---------------------------------------------------------------
 // Archive primitives.
@@ -317,7 +286,8 @@ expect_split_matches(const std::string& policy, sim::SimConfig cfg,
     second.run_until(cfg.duration);
     const sim::RunSummary split_summary = second.finish();
 
-    EXPECT_EQ(fingerprint(split_summary), fingerprint(full_summary))
+    EXPECT_EQ(sim::summary_fingerprint(split_summary),
+              sim::summary_fingerprint(full_summary))
         << policy << " summary diverged across a snapshot at " << at;
     EXPECT_EQ(os1.str() + os2.str(), full_os.str())
         << policy << " telemetry diverged across a snapshot at " << at;
@@ -422,7 +392,8 @@ TEST(SnapshotRestore, ChainedSnapshotsCompose)
     s.run_until(cfg.duration);
     const sim::RunSummary chained = s.finish();
 
-    EXPECT_EQ(fingerprint(chained), fingerprint(full_summary));
+    EXPECT_EQ(sim::summary_fingerprint(chained),
+              sim::summary_fingerprint(full_summary));
     EXPECT_EQ(os1.str() + os2.str() + os3.str(), full_os.str());
 }
 
@@ -503,8 +474,8 @@ expect_fleet_split_matches(int chips, bool chip_faults, SimTime at)
         << "fleet re-save after load differs at " << at;
     const fleet::FleetResult split_res = second.run();
 
-    EXPECT_EQ(fingerprint(split_res.combined),
-              fingerprint(full_res.combined));
+    EXPECT_EQ(sim::summary_fingerprint(split_res.combined),
+              sim::summary_fingerprint(full_res.combined));
     EXPECT_EQ(fleet_os1.str() + fleet_os2.str(), full_fleet_os.str());
     EXPECT_EQ(chip_os1.str() + chip_os2.str(), full_chip_os.str());
     // Fault accounting is cumulative across the kill.
