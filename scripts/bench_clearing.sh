@@ -3,8 +3,8 @@
 # BENCH_clearing.json at the repo root: one market round per (V, C, T)
 # shape, swept over the dirty fraction x engine on/off.  Either engine
 # mode produces bit-identical market state, so the sweep is a pure
-# wall-clock measurement.  The host's hardware-thread count is
-# recorded in the JSON.
+# wall-clock measurement.  The host's hardware-thread count and the
+# build type are stamped in.
 #
 # Usage: scripts/bench_clearing.sh [--quick] [--out FILE]
 #   --quick  one tiny min-time repetition (CI smoke: proves the driver
@@ -23,8 +23,6 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-NCPU=$(nproc 2>/dev/null || echo 1)
-
 cmake -B build -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build -j "$(nproc)" --target bench_table7_scalability > /dev/null
 
@@ -34,26 +32,23 @@ cmake --build build -j "$(nproc)" --target bench_table7_scalability > /dev/null
     --benchmark_out="$OUT" \
     --benchmark_out_format=json \
     --benchmark_counters_tabular=true
+./scripts/bench_stamp.py "$OUT" build
 
-# The JSON must parse; record the host's hardware-thread count in it
-# and print full-recompute vs active-set time per (shape, dirty%),
-# with the measured task skip rate alongside -- the speedup must come
-# with a matching skip rate or it is measurement noise.
-python3 - "$OUT" "$NCPU" <<'PY'
+# The JSON must parse; print full-recompute vs active-set time per
+# (shape, dirty%), with the measured task skip rate alongside -- the
+# speedup must come with a matching skip rate or it is measurement
+# noise.
+python3 - "$OUT" <<'PY'
 import json, sys
 path = sys.argv[1]
 with open(path) as f:
     doc = json.load(f)
-ncpu = int(sys.argv[2])
 runs = [b for b in doc["benchmarks"]
         if b["name"].startswith("BM_IncrementalClearingRound/")]
 assert runs, "no BM_IncrementalClearingRound entries in " + path
 print(f"{path}: {len(runs)} entries, JSON ok "
-      f"(host hardware threads: {ncpu})")
-doc["host_hardware_threads"] = ncpu
-with open(path, "w") as f:
-    json.dump(doc, f, indent=1)
-    f.write("\n")
+      f"(host hardware threads: {doc['host_hardware_threads']}, "
+      f"build: {doc['cmake_build_type']})")
 
 inc = {}
 for b in runs:

@@ -20,11 +20,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # Perf smoke: one quick repetition of the hot-path benchmark, with the
 # JSON output validated (the full run regenerates BENCH_hotpath.json).
-# Both outputs go to /tmp: without --macro-out the quick pass would
-# overwrite the tracked BENCH_macrostep.json with noisy numbers.
 ./scripts/bench_hotpath.sh --quick --out /tmp/ppm_bench_hotpath.json \
-    --macro-out /tmp/ppm_bench_macrostep.json > /dev/null
-rm -f /tmp/ppm_bench_hotpath.json /tmp/ppm_bench_macrostep.json
+    > /dev/null
+rm -f /tmp/ppm_bench_hotpath.json
 
 ./build/examples/quickstart l1 5 > /dev/null
 ./build/examples/mixed_criticality 5 > /dev/null
@@ -139,14 +137,11 @@ cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
 cmp /tmp/ppm_whole.csv /tmp/ppm_resumed.csv
 rm -f /tmp/ppm_whole.csv /tmp/ppm_resumed.csv /tmp/ppm_check.snap
 
-# Clearing and fleet bench smokes: one quick repetition each
-# with the JSON validated (full runs regenerate BENCH_clearing.json
-# and BENCH_fleet.json).
+# Clearing bench smoke: one quick repetition with the JSON validated
+# (the full run regenerates BENCH_clearing.json).
 ./scripts/bench_clearing.sh --quick --out /tmp/ppm_bench_clearing.json \
     > /dev/null
-./scripts/bench_fleet.sh --quick --out /tmp/ppm_bench_fleet.json \
-    > /dev/null
-rm -f /tmp/ppm_bench_clearing.json /tmp/ppm_bench_fleet.json
+rm -f /tmp/ppm_bench_clearing.json
 
 # Fault-resilience smoke: the fault bench must run end to end.
 ./build/bench/bench_fault_resilience > /dev/null
@@ -203,7 +198,7 @@ cmake --build build-tsan --target ppm_fuzz
 cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPPM_ASAN=ON
 cmake --build build-asan --target test_fault test_market test_hw \
-    test_fleet test_snapshot
+    test_fleet test_snapshot test_cli
 ./build-asan/tests/test_fault > /dev/null
 # Incremental rides along here too: the memo arrays are the newest
 # indexed state, so overruns would surface under ASan first.
@@ -219,5 +214,10 @@ cmake --build build-asan --target test_fault test_market test_hw \
 ./build-asan/tests/test_fleet --gtest_filter='FleetFaults.*' \
     > /dev/null
 ./build-asan/tests/test_snapshot > /dev/null
+# Untrusted input: a mismatched snapshot and out-of-range numbers must
+# exit 2 with one stderr line -- a sanitizer report would be a second.
+./build-asan/tests/test_cli \
+    --gtest_filter='PpmRunCli.SnapshotFromAnotherPolicyExitsTwo:PpmRunCli.OutOfRangeNumbersExitTwo:PpmRunCli.CorruptSnapshotsGetDistinctOneLineDiagnostics' \
+    > /dev/null
 
 echo "all checks passed"

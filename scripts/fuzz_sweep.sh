@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Build and run a differential fuzz sweep, emitting BENCH_fuzz.json at
 # the repo root: N seeded scenarios checked across every equivalence
-# the engine promises (policy x macro-vs-tick, clearing jobs=1 vs N,
-# budget conservation, fault counters), with throughput recorded so
-# fuzzing capacity regressions are visible in review.
+# the engine promises (policy x macro-vs-tick, incremental vs full
+# clearing, fleet jobs=1 vs N, 1-chip fleet vs plain, snapshot
+# restore vs uninterrupted, budget conservation, fault counters), with
+# throughput, --jobs, the host's hardware-thread count and the build
+# type recorded so fuzzing capacity regressions are visible in review.
 #
 # Usage: scripts/fuzz_sweep.sh [--count N] [--jobs J] [--seed S]
 #                              [--out FILE]
-#   --count N  scenarios to check (default 2000; ~1 min at 8 cores)
-#   --jobs J   worker threads (default 0 = all hardware threads)
+#   --count N  scenarios to check (default 2000; ~1 min at 4 threads)
+#   --jobs J   worker threads (default: the host's hardware threads)
 #   --seed S   campaign base seed (default 1; any failing scenario is
 #              reproducible from (seed, index) alone)
 #   --out F    write the sweep JSON to F (default BENCH_fuzz.json)
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT=2000
-JOBS=0
+JOBS=$(nproc)
 SEED=1
 OUT=BENCH_fuzz.json
 while [[ $# -gt 0 ]]; do
@@ -39,6 +41,7 @@ cmake --build build -j "$(nproc)" --target ppm_fuzz > /dev/null
 STATUS=0
 ./build/tools/ppm_fuzz --count "$COUNT" --jobs "$JOBS" --seed "$SEED" \
     --json-out "$OUT" --fixture-dir tests/fuzz/fixtures || STATUS=$?
+./scripts/bench_stamp.py "$OUT" build jobs="$JOBS"
 
 # The JSON must parse and agree with the exit status.
 python3 - "$OUT" "$STATUS" <<'EOF'
@@ -51,7 +54,9 @@ assert (doc["violations"] == 0) == (status == 0), \
     f"exit status {status} disagrees with {doc['violations']} violations"
 print(f"{sys.argv[1]}: {doc['count']} scenarios, "
       f"{doc['violations']} violating, "
-      f"{doc['scenarios_per_sec']:.1f} scenarios/s, JSON ok")
+      f"{doc['scenarios_per_sec']:.1f} scenarios/s at --jobs "
+      f"{doc['jobs']} on {doc['host_hardware_threads']} hardware "
+      f"threads ({doc['cmake_build_type']}), JSON ok")
 EOF
 
 exit "$STATUS"

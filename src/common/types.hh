@@ -11,7 +11,9 @@
 #ifndef PPM_COMMON_TYPES_HH
 #define PPM_COMMON_TYPES_HH
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 namespace ppm {
 
@@ -54,6 +56,31 @@ using TaskId = int;
 
 /** Sentinel for "no core" / "no cluster" / "no task". */
 inline constexpr int kInvalidId = -1;
+
+/**
+ * Longest span an input may name: 10^6 simulated seconds (about 11.6
+ * days, over 3,000 times the paper's 300 s runs).  Sums and products
+ * of input times (a run end plus a grace period, a phase table's
+ * horizon) then stay far inside SimTime's range.
+ */
+inline constexpr SimTime kMaxInputTime = 1000000 * kSecond;
+
+/**
+ * `count` units of `unit` (kSecond, kMillisecond) as SimTime,
+ * truncated toward zero; nullopt unless `count` is finite, >= 0 and
+ * the span is at most kMaxInputTime.  Every parser of user-supplied
+ * times (the CLI, --faults specs, fuzz fixtures) converts through
+ * this, so no input reaches an out-of-range cast or an overflowing
+ * multiply.
+ */
+inline std::optional<SimTime>
+checked_sim_time(double count, SimTime unit)
+{
+    if (!std::isfinite(count) || count < 0.0 ||
+        count > static_cast<double>(kMaxInputTime / unit))
+        return std::nullopt;
+    return static_cast<SimTime>(count * static_cast<double>(unit));
+}
 
 /** Convert a SimTime duration to (fractional) seconds. */
 constexpr double

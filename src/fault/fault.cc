@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -114,15 +115,22 @@ parse_fault_spec(const std::string& text, FaultSpec* spec,
                                    "' has a non-numeric value '" +
                                    value + "'");
         const auto positive_time = [&](SimTime* dst) {
-            if (num <= 0.0)
+            const auto t = checked_sim_time(num, kMillisecond);
+            if (num <= 0.0 || (t && *t <= 0))
                 return fail(error, "fault spec key '" + key +
                                        "' must be > 0");
-            *dst = static_cast<SimTime>(num * kMillisecond);
+            if (!t)
+                return fail(error, "fault spec key '" + key +
+                                       "' is out of range (at most "
+                                       "1000000000 ms)");
+            *dst = *t;
             return true;
         };
         if (key == "seed") {
-            if (num < 0.0)
-                return fail(error, "fault spec seed must be >= 0");
+            // 2^64: the first double past the largest seed.
+            if (num < 0.0 || num >= 18446744073709551616.0)
+                return fail(error,
+                            "fault spec seed must be in [0, 2^64)");
             out.seed = static_cast<std::uint64_t>(num);
         } else if (key == "rate") {
             if (num <= 0.0)
@@ -145,8 +153,10 @@ parse_fault_spec(const std::string& text, FaultSpec* spec,
             if (!positive_time(&out.staleness_bound))
                 return false;
         } else if (key == "retries") {
-            if (num < 0.0)
-                return fail(error, "fault spec retries must be >= 0");
+            if (num < 0.0 ||
+                num > std::numeric_limits<int>::max())
+                return fail(error, "fault spec retries must be in "
+                                   "[0, 2147483647]");
             out.max_retries = static_cast<int>(num);
         } else if (key == "backoff_ms") {
             if (!positive_time(&out.retry_backoff))

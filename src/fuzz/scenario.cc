@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -130,6 +131,20 @@ parse_long(const std::string& s, long* out)
     return true;
 }
 
+/** A whole number of milliseconds >= `min_ms`, bounded by
+ *  checked_sim_time(). */
+bool
+parse_ms(const std::string& s, long min_ms, SimTime* out)
+{
+    long ms = 0;
+    if (!parse_long(s, &ms) || ms < min_ms)
+        return false;
+    const auto t = checked_sim_time(static_cast<double>(ms), kMillisecond);
+    if (t)
+        *out = *t;
+    return t.has_value();
+}
+
 bool
 parse_double(const std::string& s, double* out)
 {
@@ -184,8 +199,7 @@ parse_task_line(const std::string& value, TaskGene* g,
                  std::to_string(f.size());
         return false;
     }
-    long priority = 0, n_phases = 0, arrival_ms = 0, departure_ms = 0,
-         core = 0;
+    long priority = 0, n_phases = 0, departure_ms = 0, core = 0;
     const bool ok =
         parse_long(f[0], &priority) &&
         parse_double(f[1], &g->demand_little) &&
@@ -195,20 +209,20 @@ parse_task_line(const std::string& value, TaskGene* g,
         parse_long(f[5], &n_phases) &&
         parse_double(f[6], &g->phase_amp) &&
         parse_u64(f[7], &g->phase_seed) &&
-        parse_long(f[8], &arrival_ms) &&
-        parse_long(f[9], &departure_ms) && parse_long(f[10], &core);
-    if (!ok || priority < 1 || n_phases < 1 || arrival_ms < 0 ||
-        departure_ms < -1 || core < -1 || g->demand_little <= 0.0 ||
-        g->target_hr <= 0.0) {
+        parse_ms(f[8], 0, &g->arrival) &&
+        parse_long(f[9], &departure_ms) &&
+        // A departure of -1 means "never".
+        (departure_ms == -1 || parse_ms(f[9], 0, &g->departure)) &&
+        parse_long(f[10], &core);
+    if (!ok || priority < 1 || n_phases < 1 || core < -1 ||
+        g->demand_little <= 0.0 || g->target_hr <= 0.0) {
         *error = "malformed task= line: " + value;
         return false;
     }
+    if (departure_ms == -1)
+        g->departure = sim::SimConfig::Lifetime::kForever;
     g->priority = static_cast<int>(priority);
     g->n_phases = static_cast<int>(n_phases);
-    g->arrival = arrival_ms * kMillisecond;
-    g->departure = departure_ms < 0
-                       ? sim::SimConfig::Lifetime::kForever
-                       : departure_ms * kMillisecond;
     g->core = static_cast<CoreId>(core);
     return true;
 }
@@ -579,16 +593,13 @@ parse_scenario(const std::string& text, Scenario* out,
         } else if (key == "tdp") {
             ok = parse_double(value, &sc.tdp) && sc.tdp >= 0.0;
         } else if (key == "duration_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.duration = l * kMillisecond;
+            ok = parse_ms(value, 1, &sc.duration);
         } else if (key == "warmup_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.warmup = l * kMillisecond;
+            ok = parse_ms(value, 0, &sc.warmup);
         } else if (key == "trace") {
             ok = parse_bool(value, &sc.trace);
         } else if (key == "trace_period_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.trace_period = l * kMillisecond;
+            ok = parse_ms(value, 1, &sc.trace_period);
         } else if (key == "online_speedup") {
             ok = parse_bool(value, &sc.online_speedup);
         } else if (key == "fleet_chips") {
@@ -600,8 +611,7 @@ parse_scenario(const std::string& text, Scenario* out,
             ok = parse_bool(value, &sc.incremental);
         } else if (key == "snapshot_at_ms") {
             // Missing key (pre-snapshot fixtures) defaults to 0/off.
-            ok = parse_long(value, &l) && l >= 0;
-            sc.snapshot_at = l * kMillisecond;
+            ok = parse_ms(value, 0, &sc.snapshot_at);
         } else if (key == "fleet_faults") {
             // Missing key (pre-fault fixtures) defaults to off.
             ok = parse_bool(value, &sc.has_fleet_faults);
@@ -636,26 +646,22 @@ parse_scenario(const std::string& text, Scenario* out,
             ok = parse_double(value, &sc.faults.rate_per_min) &&
                  sc.faults.rate_per_min > 0.0;
         } else if (key == "fault_duration_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.mean_duration = l * kMillisecond;
+            ok = parse_ms(value, 1, &sc.faults.mean_duration);
         } else if (key == "fault_noise") {
             ok = parse_double(value, &sc.faults.noise_sigma_w) &&
                  sc.faults.noise_sigma_w >= 0.0;
         } else if (key == "fault_dvfs_delay_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.faults.dvfs_delay = l * kMillisecond;
+            ok = parse_ms(value, 0, &sc.faults.dvfs_delay);
         } else if (key == "fault_stale_ms") {
-            ok = parse_long(value, &l) && l >= 0;
-            sc.faults.stale_age = l * kMillisecond;
+            ok = parse_ms(value, 0, &sc.faults.stale_age);
         } else if (key == "fault_staleness_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.staleness_bound = l * kMillisecond;
+            ok = parse_ms(value, 1, &sc.faults.staleness_bound);
         } else if (key == "fault_retries") {
-            ok = parse_long(value, &l) && l >= 0;
+            ok = parse_long(value, &l) && l >= 0 &&
+                 l <= std::numeric_limits<int>::max();
             sc.faults.max_retries = static_cast<int>(l);
         } else if (key == "fault_backoff_ms") {
-            ok = parse_long(value, &l) && l >= 1;
-            sc.faults.retry_backoff = l * kMillisecond;
+            ok = parse_ms(value, 1, &sc.faults.retry_backoff);
         } else if (key == "task") {
             TaskGene g;
             if (!parse_task_line(value, &g, error)) {

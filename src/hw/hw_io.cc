@@ -6,7 +6,6 @@
  * configuration and only the mutable fields are overwritten.
  */
 
-#include "common/logging.hh"
 #include "hw/platform.hh"
 #include "hw/sensors.hh"
 #include "hw/thermal.hh"
@@ -31,8 +30,8 @@ Chip::fields(A& a, Self& self)
     a.same_size(self.clusters_,
                 "snapshot topology mismatch: cluster count differs");
     a(self.core_online_);
-    PPM_ASSERT(self.core_online_.size() == self.cores_.size(),
-               "snapshot topology mismatch: core count differs");
+    a.check(self.core_online_.size() == self.cores_.size(),
+            "snapshot topology mismatch: core count differs");
 }
 
 template void Chip::fields(snap::Writer&, const Chip&);

@@ -79,8 +79,8 @@ Market::fields(A& a, Self& self)
       self.bid_stamp_, self.processed_stamp_, self.prev_bid_,
       self.prev_savings_, self.prev_supply_, self.core_demand_dirty_,
       self.core_fold_dirty_);
-    PPM_ASSERT(self.core_fold_dirty_.size() == self.cores_.size(),
-               "snapshot mismatch: core fold-dirty count differs");
+    a.check(self.core_fold_dirty_.size() == self.cores_.size(),
+            "snapshot mismatch: core fold-dirty count differs");
     a(self.core_recompute_, self.core_bid_recompute_);
     // Cross-round per-core bid folds: cores outside the bid recompute
     // set reuse last round's fold, so the memo must survive a restore.
@@ -150,8 +150,8 @@ PpmGovernor::fields(A& a, Self& self)
     a(self.market_);
     bool online = self.online_ != nullptr;
     a(online);
-    PPM_ASSERT(online == (self.online_ != nullptr),
-               "snapshot mismatch: online-speedup mode differs");
+    a.check(online == (self.online_ != nullptr),
+            "snapshot mismatch: online-speedup mode differs");
     if (online)
         a(self.online_);
 

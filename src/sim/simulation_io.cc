@@ -18,7 +18,6 @@
 
 #include <vector>
 
-#include "common/logging.hh"
 #include "sim/simulation.hh"
 #include "snapshot/archive.hh"
 
@@ -67,9 +66,9 @@ Simulation::fields(A& a, Self& self)
       self.recorder_, self.bus_);
     bool faulted = self.injector_ != nullptr;
     a(faulted);
-    PPM_ASSERT(faulted == (self.injector_ != nullptr),
-               "snapshot mismatch: fault plan presence differs "
-               "(same --faults spec?)");
+    a.check(faulted == (self.injector_ != nullptr),
+            "snapshot mismatch: fault plan presence differs "
+            "(same --faults spec?)");
     if (faulted)
         a(self.injector_);
     a(self.governor_);
@@ -79,9 +78,9 @@ Simulation::fields(A& a, Self& self)
     // implicit whole-run windows).
     const bool implicit_lifetimes = self.config_.lifetimes.empty();
     a(self.config_.lifetimes);
-    PPM_ASSERT(self.config_.lifetimes.size() == self.owned_tasks_.size() ||
-                   (implicit_lifetimes && self.config_.lifetimes.empty()),
-               "snapshot mismatch: lifetime window count");
+    a.check(self.config_.lifetimes.size() == self.owned_tasks_.size() ||
+                (implicit_lifetimes && self.config_.lifetimes.empty()),
+            "snapshot mismatch: lifetime window count");
     a(self.last_levels_, self.over_tdp_, self.over_tdp_post_,
       self.over_tdp_fault_, self.now_, self.next_trace_,
       self.vf_transitions_, self.last_migrations_, self.warmup_energy_,

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/logging.hh"
-
 namespace ppm::snap {
 namespace {
 
@@ -131,7 +129,7 @@ Reader::open(const std::string& file_bytes)
 const char*
 Reader::take(std::size_t n)
 {
-    PPM_ASSERT(n <= remaining(), kUnderrun);
+    check(n <= remaining(), kUnderrun);
     const char* p = data_.data() + pos_;
     pos_ += n;
     return p;
@@ -141,15 +139,14 @@ std::size_t
 Reader::length(std::size_t min_bytes)
 {
     const std::uint64_t n = u64();
-    PPM_ASSERT(n <= remaining() / min_bytes, kUnderrun);
+    check(n <= remaining() / min_bytes, kUnderrun);
     return static_cast<std::size_t>(n);
 }
 
 void
 Reader::expect_size(std::size_t n, const char* what)
 {
-    const std::uint64_t archived = u64();
-    PPM_ASSERT(archived == n, what);
+    check(u64() == n, what);
 }
 
 std::uint8_t

@@ -38,13 +38,18 @@
  * A string or vector length is checked against the bytes left in the
  * payload before anything is allocated for it.
  *
- * Failure taxonomy (ppm_run maps each to a distinct one-line
- * diagnostic and exit code 2):
+ * Failure taxonomy (ppm_run maps each to a one-line diagnostic and
+ * exit code 2).  open() reports the file-level failures as a
+ * LoadStatus:
  *   kTruncated    file shorter than the header, or shorter/longer
  *                 than the payload size the header promises;
  *   kBadMagic     not a snapshot file at all;
  *   kBadVersion   a snapshot from an incompatible format version;
  *   kBadChecksum  right shape, corrupted payload bits.
+ * A payload that passes open() can still fail while loading: a field
+ * runs past the payload end ("payload underrun"), or a size or mode
+ * the restoring process rebuilt from its own flags differs from the
+ * archived one ("snapshot mismatch: ...").  Those throw LoadError.
  */
 
 #ifndef PPM_SNAPSHOT_ARCHIVE_HH
@@ -53,6 +58,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -73,6 +79,20 @@ enum class LoadStatus {
 
 /** One-word name of a LoadStatus ("ok", "truncated", ...). */
 const char* load_status_name(LoadStatus s);
+
+/**
+ * A payload that does not fit the state it is loaded into: a field
+ * runs past the end of the payload, or an archived size or mode
+ * differs from the one the restoring process rebuilt.  Every check
+ * the Reader and the field lists make throws this, with the check's
+ * message as what().  The object being loaded is left half-loaded
+ * and must be discarded.
+ */
+class LoadError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail {
 
@@ -120,7 +140,7 @@ class Writer
     /**
      * Append a container whose length the loading process already
      * has (the restore protocol rebuilt it): the length, then each
-     * element.  Reader::same_size() dies with `what` on a mismatch.
+     * element.  Reader::same_size() throws `what` on a mismatch.
      */
     template <class C>
     void same_size(const C& c, const char* /* what */)
@@ -129,6 +149,9 @@ class Writer
         for (const auto& x : c)
             put(x);
     }
+
+    /** Reader::check() fails a load; saving has nothing to check. */
+    void check(bool /* ok */, const char* /* what */) {}
 
     void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
     void u32(std::uint32_t v);
@@ -183,8 +206,8 @@ class Reader
 
     /**
      * Read a container written by Writer::same_size() into `c` as it
-     * stands: die with `what` unless the archived length equals
-     * c.size(), then overwrite each element in place.
+     * stands: throw LoadError(`what`) unless the archived length
+     * equals c.size(), then overwrite each element in place.
      */
     template <class C>
     void same_size(C& c, const char* what)
@@ -192,6 +215,14 @@ class Reader
         expect_size(c.size(), what);
         for (auto& x : c)
             get(x);
+    }
+
+    /** Throw LoadError(`what`) unless `ok`: the loaded state does not
+     *  fit the state this process rebuilt. */
+    void check(bool ok, const char* what)
+    {
+        if (!ok)
+            throw LoadError(what);
     }
 
     std::uint8_t u8();
@@ -217,11 +248,11 @@ class Reader
 
     const char* take(std::size_t n);
 
-    /** Read a u64 length of elements at least `min_bytes` each; die
+    /** Read a u64 length of elements at least `min_bytes` each; throw
      *  unless that many could still fit in the payload. */
     std::size_t length(std::size_t min_bytes);
 
-    /** Read a u64 length; die with `what` unless it equals `n`. */
+    /** Read a u64 length; throw `what` unless it equals `n`. */
     void expect_size(std::size_t n, const char* what);
 
     std::string data_;  ///< Payload copy (owned; the file buffer dies).

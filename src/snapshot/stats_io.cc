@@ -5,7 +5,6 @@
  * zero dependency on the archive code.
  */
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "snapshot/archive.hh"
 
@@ -37,8 +36,11 @@ WindowRate::fields(A& a, Self& self)
 {
     std::size_t capacity = self.ring_.size();
     a(self.window_, capacity, self.runs_);
-    PPM_ASSERT(self.runs_ <= capacity,
-               "snapshot mismatch: more window runs than ring slots");
+    a.check(self.runs_ <= capacity,
+            "snapshot mismatch: more window runs than ring slots");
+    a.check((capacity & (capacity - 1)) == 0,
+            "snapshot mismatch: window ring capacity is not a power "
+            "of two");
     // The live runs travel in FIFO order, not ring order: loading
     // re-linearises them from head 0 of a ring of the saved capacity.
     if constexpr (A::loading) {

@@ -251,6 +251,61 @@ TEST(PpmRunCli, CorruptSnapshotsGetDistinctOneLineDiagnostics)
     EXPECT_NE(err.find("cannot restore snapshot"), std::string::npos);
 }
 
+/** Exit 2 with one stderr line containing `phrase`. */
+void
+expect_one_line_exit_2(const std::string& args, const std::string& phrase)
+{
+    std::string err;
+    EXPECT_EQ(run_cli_capture(args, nullptr, &err), 2) << args;
+    EXPECT_NE(err.find(phrase), std::string::npos) << args << ": " << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << args << ": " << err;
+}
+
+TEST(PpmRunCli, SnapshotFromAnotherPolicyExitsTwo)
+{
+    // A PPM archive restored under HPM once died with SIGABRT on the
+    // cluster-count check; under HL it ran off the payload end.
+    const std::string snap = tmp_path("policy.ppmsnap");
+    const std::string base = "--set m2 --seconds 6 --tdp 4";
+    ASSERT_EQ(run_cli(base + " --snapshot-out " + snap +
+                      " --snapshot-at 3000"),
+              0);
+    expect_one_line_exit_2(base + " --policy HPM --snapshot-in " + snap,
+                           "cannot restore snapshot '" + snap +
+                               "': snapshot mismatch: HPM cluster count");
+    expect_one_line_exit_2(base + " --policy HL --snapshot-in " + snap,
+                           "cannot restore snapshot");
+    std::remove(snap.c_str());
+}
+
+TEST(PpmRunCli, OutOfRangeNumbersExitTwo)
+{
+    // A run past the input bound once overflowed SimTime and died on
+    // an empty phase table.
+    expect_one_line_exit_2("--set l1 --seconds 1e14", "out of range");
+    expect_one_line_exit_2("--set l1 --seconds 1e-9",
+                           "expects a positive duration");
+    // Milliseconds times kMillisecond once overflowed a long.
+    const std::string snap = tmp_path("never.ppmsnap");
+    expect_one_line_exit_2("--set l1 --seconds 2 --snapshot-out " + snap +
+                               " --snapshot-at 9223372036854775807",
+                           "out of range");
+    expect_one_line_exit_2("--set l1 --seconds 2 --snapshot-out " + snap +
+                               " --snapshot-every 9223372036854775807",
+                           "out of range");
+    expect_one_line_exit_2("--set l1 --seconds 2 --fleet 2 "
+                           "--fleet-epoch 9223372036854775807",
+                           "out of range");
+    // Doubles past the integer they were cast to.
+    expect_one_line_exit_2("--set l1 --seconds 1 --faults dvfs,seed=1e30",
+                           "seed");
+    expect_one_line_exit_2("--set l1 --seconds 1 --faults dvfs,retries=1e12",
+                           "retries");
+    expect_one_line_exit_2(
+        "--set l1 --seconds 1 --faults dvfs,duration_ms=1e300",
+        "out of range");
+}
+
 TEST(PpmRunCli, FleetChipFaultFlagsAreValidated)
 {
     EXPECT_EQ(run_cli("--set l1 --seconds 1 --tdp 3.5 --fleet 2 "

@@ -69,6 +69,33 @@ TEST(FaultSpecParse, RejectsMalformedInput)
     EXPECT_FALSE(parse_fault_spec("", &spec, &error));
 }
 
+TEST(FaultSpecParse, RejectsValuesPastTheirTypes)
+{
+    // Each of these once reached a double-to-integer cast out of the
+    // target's range (undefined behaviour).
+    FaultSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_fault_spec("dvfs,seed=1e30", &spec, &error));
+    EXPECT_NE(error.find("seed"), std::string::npos) << error;
+    EXPECT_FALSE(parse_fault_spec("dvfs,retries=1e12", &spec, &error));
+    EXPECT_NE(error.find("retries"), std::string::npos) << error;
+    for (const char* key : {"duration_ms", "delay_ms", "stale_ms",
+                            "staleness_ms", "backoff_ms"}) {
+        EXPECT_FALSE(parse_fault_spec(
+            "dvfs," + std::string(key) + "=1e300", &spec, &error))
+            << key;
+        EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    }
+    // The bounds themselves are accepted.
+    ASSERT_TRUE(parse_fault_spec(
+        "dvfs,seed=1e19,retries=2147483647,duration_ms=1e9", &spec,
+        &error))
+        << error;
+    EXPECT_EQ(spec.seed, 10000000000000000000u);
+    EXPECT_EQ(spec.max_retries, 2147483647);
+    EXPECT_EQ(spec.mean_duration, kMaxInputTime);
+}
+
 TEST(FaultSpecParse, FailureLeavesOutputUntouched)
 {
     FaultSpec spec;

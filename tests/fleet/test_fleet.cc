@@ -591,22 +591,39 @@ TEST(FleetFaults, AllChipsFailedEndsCleanlyAndLoudly)
 TEST(FleetFaults, RecoveryLandsOnTheBarrierAndDrainsTheQueue)
 {
     // 2-chip fleet: chip 1 dies, then recovers; after recovery the
-    // pending queue drains and the chip rejoins the settlement.
-    fleet::Fleet fleet(faulted_fleet_config(
-        2, {fail_at(960 * kMillisecond, 1),
-            recover_at(2976 * kMillisecond, 1)}));
-    const fleet::FleetResult res = fleet.run();
+    // pending queue drains and the chip rejoins the settlement.  The
+    // second schedule fails and recovers it on back-to-back barriers,
+    // six times over: every transition lands one epoch after the
+    // last, so each evacuation races the next recovery.
+    const SimTime epoch = 96 * kMillisecond;
+    std::vector<fault::FleetFaultEvent> churn;
+    for (int k = 0; k < 6; ++k) {
+        churn.push_back(fail_at((10 + 2 * k) * epoch, 1));
+        churn.push_back(recover_at((11 + 2 * k) * epoch, 1));
+    }
+    const std::vector<std::vector<fault::FleetFaultEvent>> schedules = {
+        {fail_at(960 * kMillisecond, 1),
+         recover_at(2976 * kMillisecond, 1)},
+        churn,
+    };
+    for (const auto& events : schedules) {
+        const long transitions = static_cast<long>(events.size()) / 2;
+        fleet::Fleet fleet(faulted_fleet_config(2, events));
+        const fleet::FleetResult res = fleet.run();
 
-    EXPECT_EQ(res.chip_failures, 1);
-    EXPECT_EQ(res.chip_recoveries, 1);
-    EXPECT_EQ(res.evacuations, res.evac_landed + res.evac_pending_end);
-    ASSERT_EQ(res.final_health.size(), 2u);
-    EXPECT_EQ(res.final_health[1], 0) << "recovered to healthy";
-    // Back in the settlement: both chips hold budget at the end.
-    ASSERT_EQ(res.final_budgets.size(), 2u);
-    EXPECT_GT(res.final_budgets[1], 0.0);
-    EXPECT_NEAR(res.final_budgets[0] + res.final_budgets[1], 7.0,
-                1e-9 * 7.0);
+        EXPECT_EQ(res.chip_failures, transitions);
+        EXPECT_EQ(res.chip_recoveries, transitions);
+        EXPECT_GT(res.evacuations, 0);
+        EXPECT_EQ(res.evacuations,
+                  res.evac_landed + res.evac_pending_end);
+        ASSERT_EQ(res.final_health.size(), 2u);
+        EXPECT_EQ(res.final_health[1], 0) << "recovered to healthy";
+        // Back in the settlement: both chips hold budget at the end.
+        ASSERT_EQ(res.final_budgets.size(), 2u);
+        EXPECT_GT(res.final_budgets[1], 0.0);
+        EXPECT_NEAR(res.final_budgets[0] + res.final_budgets[1], 7.0,
+                    1e-9 * 7.0);
+    }
 }
 
 TEST(FleetFaults, CompiledPlanIsDeterministicAndOnTheGrid)

@@ -142,6 +142,39 @@ TEST(ScenarioParser, RejectsMalformedInput)
             "task=1,nan,1.5,20,0,1,0,0,0,-1,-1\n");
 }
 
+TEST(ScenarioParser, RejectsTimesPastTheInputBound)
+{
+    // Every *_ms key and the task line's arrival/departure convert
+    // through checked_sim_time(): 10^9 ms is the largest accepted
+    // span, and LONG_MAX must not reach an overflowing multiply.
+    const std::string task = "task=1,100,1.5,20,0,1,0,0,0,-1,-1\n";
+    const auto parses = [](const std::string& text) {
+        Scenario sc;
+        std::string error;
+        const bool ok = parse_scenario(text, &sc, &error);
+        EXPECT_EQ(ok, error.empty()) << text;
+        return ok;
+    };
+    EXPECT_TRUE(parses("duration_ms=1000000000\n" + task));
+    EXPECT_FALSE(parses("duration_ms=1000000001\n" + task));
+    for (const char* key :
+         {"duration_ms", "warmup_ms", "trace_period_ms", "snapshot_at_ms",
+          "fault_duration_ms", "fault_dvfs_delay_ms", "fault_stale_ms",
+          "fault_staleness_ms", "fault_backoff_ms"}) {
+        EXPECT_FALSE(parses(std::string(key) +
+                            "=9223372036854775807\n" + task))
+            << key;
+    }
+    EXPECT_FALSE(parses("fault_retries=9223372036854775807\n" + task));
+    EXPECT_FALSE(parses(
+        "task=1,100,1.5,20,0,1,0,0,9223372036854775807,-1,-1\n"));
+    EXPECT_FALSE(parses(
+        "task=1,100,1.5,20,0,1,0,0,0,9223372036854775807,-1\n"));
+    // -1 still means "never departs"; anything below it is malformed.
+    EXPECT_TRUE(parses("task=1,100,1.5,20,0,1,0,0,0,-1,-1\n"));
+    EXPECT_FALSE(parses("task=1,100,1.5,20,0,1,0,0,0,-2,-1\n"));
+}
+
 TEST(ScenarioParser, AcceptsCommentsAndRoundTripOutput)
 {
     const Scenario sc = generate_scenario(scenario_seed(5, 17));

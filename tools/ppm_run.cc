@@ -61,8 +61,11 @@
  *    run's trace bytes exactly;
  *  - --snapshot-out PATH --snapshot-every MS saves periodically while
  *    running to completion (each save atomically replaces PATH).
- *  Corrupt, truncated or version-mismatched snapshots are rejected
- *  with a one-line diagnostic and exit code 2.  In fleet mode the
+ *  Corrupt, truncated or version-mismatched snapshots, and snapshots
+ *  whose state does not fit this run's flags (a different policy or
+ *  task count, say), are rejected with a one-line diagnostic and exit
+ *  code 2.  Not every mismatch is caught: an archive from another
+ *  --set or --seed of the same shape loads silently.  In fleet mode the
  *  snapshot covers the whole federation (supervisor, health, pending
  *  evacuations, every shard) and saves land on the next epoch
  *  barrier at or after the requested time.
@@ -178,6 +181,19 @@ parse_int(const char* flag, const char* text)
     return ppm::cli::parse_int("ppm_run", flag, text);
 }
 
+/** A positive time in `unit`s, at most kMaxInputTime. */
+ppm::SimTime
+parse_time(const char* flag, const char* text, double count,
+           ppm::SimTime unit, const char* why)
+{
+    const auto t = ppm::checked_sim_time(count, unit);
+    if (count <= 0.0 || (t && *t <= 0))
+        bad_arg(flag, why, text);
+    if (!t)
+        bad_arg(flag, "is out of range (at most 1000000 s)", text);
+    return *t;
+}
+
 } // namespace
 
 int
@@ -239,10 +255,10 @@ main(int argc, char** argv)
                 bad_arg("--tdp", "expects a positive wattage", text);
         } else if (arg == "--seconds") {
             const char* text = next();
-            const double seconds = parse_number("--seconds", text);
-            if (seconds <= 0.0)
-                bad_arg("--seconds", "expects a positive duration", text);
-            params.duration = static_cast<SimTime>(seconds * kSecond);
+            params.duration =
+                parse_time("--seconds", text,
+                           parse_number("--seconds", text), kSecond,
+                           "expects a positive duration");
         } else if (arg == "--seed") {
             const char* text = next();
             const long seed = parse_int("--seed", text);
@@ -308,11 +324,10 @@ main(int argc, char** argv)
             fleet_opts_given = true;
         } else if (arg == "--fleet-epoch") {
             const char* text = next();
-            const long ms = parse_int("--fleet-epoch", text);
-            if (ms < 1)
-                bad_arg("--fleet-epoch",
-                        "expects a positive epoch in milliseconds", text);
-            fleet_epoch = ms * kMillisecond;
+            fleet_epoch = parse_time(
+                "--fleet-epoch", text,
+                static_cast<double>(parse_int("--fleet-epoch", text)),
+                kMillisecond, "expects a positive epoch in milliseconds");
             fleet_opts_given = true;
         } else if (arg == "--snapshot-out") {
             snap_out = next();
@@ -320,19 +335,16 @@ main(int argc, char** argv)
             snap_in = next();
         } else if (arg == "--snapshot-at") {
             const char* text = next();
-            const long ms = parse_int("--snapshot-at", text);
-            if (ms < 1)
-                bad_arg("--snapshot-at",
-                        "expects a positive time in milliseconds", text);
-            snap_at = ms * kMillisecond;
+            snap_at = parse_time(
+                "--snapshot-at", text,
+                static_cast<double>(parse_int("--snapshot-at", text)),
+                kMillisecond, "expects a positive time in milliseconds");
         } else if (arg == "--snapshot-every") {
             const char* text = next();
-            const long ms = parse_int("--snapshot-every", text);
-            if (ms < 1)
-                bad_arg("--snapshot-every",
-                        "expects a positive period in milliseconds",
-                        text);
-            snap_every = ms * kMillisecond;
+            snap_every = parse_time(
+                "--snapshot-every", text,
+                static_cast<double>(parse_int("--snapshot-every", text)),
+                kMillisecond, "expects a positive period in milliseconds");
         } else if (arg == "--csv") {
             csv_summary = true;
         } else if (arg == "--list-sets") {
@@ -436,17 +448,24 @@ main(int argc, char** argv)
 
     // Restore a snapshot into `target` (Simulation or Fleet), or exit
     // 2 with a one-line diagnostic naming the failure (truncated, bad
-    // magic, version mismatch, checksum mismatch, trailing bytes).
+    // magic, version mismatch, checksum mismatch, payload underrun,
+    // a state mismatch with this run's flags, trailing bytes).
     auto restore_or_die = [&snap_in](auto& target) {
-        snap::Reader r;
-        const snap::LoadStatus st = snap::read_file(snap_in, &r);
-        if (st != snap::LoadStatus::kOk) {
+        const auto die = [&snap_in](const char* why) {
             std::fprintf(stderr,
                          "ppm_run: cannot restore snapshot '%s': %s\n",
-                         snap_in.c_str(), snap::load_status_name(st));
+                         snap_in.c_str(), why);
             std::exit(2);
+        };
+        snap::Reader r;
+        const snap::LoadStatus st = snap::read_file(snap_in, &r);
+        if (st != snap::LoadStatus::kOk)
+            die(snap::load_status_name(st));
+        try {
+            target.load(r);
+        } catch (const snap::LoadError& e) {
+            die(e.what());
         }
-        target.load(r);
         if (r.remaining() != 0) {
             std::fprintf(
                 stderr,
